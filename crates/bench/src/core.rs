@@ -256,6 +256,14 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
         fleet_steady()
     });
 
+    // The same fleet under anti-affinity placement and an in-place warm
+    // campaign: every arrival searches the whole fleet for the least-loaded
+    // host outside the campaign window, so placement cost dominates.
+    let campaign_events = fleet_campaign();
+    timed("fleet/campaign", campaign_events, "events", &mut || {
+        fleet_campaign()
+    });
+
     // A steady-state serverless cell (function-VM arrivals on one
     // overcommitted host with balloon reclaim and a warm pool) — the
     // rh-cell layer's cost, dominated by real P2M map/unmap traffic.
@@ -267,6 +275,24 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
 /// One deterministic campaign-free fleet run; returns events fired.
 fn fleet_steady() -> u64 {
     let cfg = rh_fleet::config::FleetConfig::datacenter(FLEET_HOSTS);
+    let report = rh_fleet::sim::FleetSimulation::new(cfg)
+        // lint:allow(unwrap-panic): FleetConfig::datacenter always validates
+        .expect("datacenter config is valid")
+        .run();
+    report.events
+}
+
+/// One deterministic anti-affinity fleet run through an in-place warm
+/// campaign; returns events fired.
+fn fleet_campaign() -> u64 {
+    let campaign = rh_fleet::config::CampaignConfig::in_place(
+        rh_vmm::config::RebootStrategy::Warm,
+        FLEET_HOSTS,
+        SimTime::from_secs(1000),
+    );
+    let cfg = rh_fleet::config::FleetConfig::datacenter(FLEET_HOSTS)
+        .with_placement(rh_fleet::placement::PlacementKind::AntiAffinity)
+        .with_campaign(campaign);
     let report = rh_fleet::sim::FleetSimulation::new(cfg)
         // lint:allow(unwrap-panic): FleetConfig::datacenter always validates
         .expect("datacenter config is valid")
@@ -559,6 +585,7 @@ mod tests {
         assert!(names.contains(&"flat/chain"));
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));
+        assert!(names.contains(&"fleet/campaign"));
         for r in &results {
             assert!(r.best_ns >= 1, "{}: zero-time sample", r.name);
             assert!(r.ops > 0, "{}: no work recorded", r.name);

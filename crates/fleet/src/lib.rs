@@ -14,7 +14,8 @@
 //!
 //! * [`store::PlacementStore`] — the central VM → host map, with
 //!   reservation-based capacity so concurrent live migrations can never
-//!   oversubscribe a host;
+//!   oversubscribe a host, and the [`store::FreeSlots`] index placement
+//!   searches instead of scanning every host;
 //! * [`placement`] — pluggable algorithms: [`placement::FirstFit`],
 //!   [`placement::BestFitBinPack`], and the rejuvenation-aware
 //!   [`placement::RejuvAntiAffinity`];

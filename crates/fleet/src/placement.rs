@@ -8,6 +8,13 @@
 //! `placement.latency` timer (a central store's lookup cost is probe
 //! count, not wall clock — wall clock would poison determinism).
 //!
+//! Each policy answers twice over: [`PlacementAlgorithm::choose`] scans
+//! the query's per-host slices and is the reference;
+//! [`PlacementAlgorithm::choose_indexed`] reaches the same decision, with
+//! the same `scanned`, from the store's [`FreeSlots`] bitsets, reading at
+//! most `capacity × ⌈hosts/64⌉` words per pass instead of probing every
+//! host. The simulation calls only the indexed form.
+//!
 //! Three policies ship:
 //!
 //! * [`FirstFit`] — lowest-index serving host with a free slot. Packs the
@@ -22,6 +29,8 @@
 //!   holds both halves of a pair.
 
 use rh_cluster::driver::HostPhase;
+
+use crate::store::FreeSlots;
 
 /// Everything a placement policy may inspect for one decision.
 #[derive(Debug, Clone, Copy)]
@@ -72,12 +81,41 @@ pub struct Decision {
 }
 
 /// A pluggable placement policy. Implementations must be deterministic
-/// functions of the query alone.
+/// functions of the query (and, for `choose_indexed`, the index) alone.
 pub trait PlacementAlgorithm: std::fmt::Debug + Send + Sync {
     /// The policy's stable display name.
     fn name(&self) -> &'static str;
-    /// Chooses a host for one VM.
+    /// Chooses a host for one VM by scanning the query's slices (the
+    /// reference decision).
     fn choose(&self, q: &PlacementQuery<'_>) -> Decision;
+    /// Returns exactly [`choose`](Self::choose)'s decision, `scanned`
+    /// included, reading occupancy and phases from `free`, the index of
+    /// the store whose `used` and phases `q` carries.
+    fn choose_indexed(&self, q: &PlacementQuery<'_>, free: &FreeSlots) -> Decision;
+}
+
+/// Hosts `[lo, hi)`, as they fall in index word `w` (hosts `64w..64w+64`).
+fn range_mask(w: usize, lo: u64, hi: u64) -> u64 {
+    let base = w as u64 * 64;
+    let (start, end) = (lo.max(base), hi.min(base + 64));
+    if start >= end {
+        return 0;
+    }
+    (u64::MAX >> (64 - (end - start))) << (start - base)
+}
+
+/// The host at bit `bit` of index word `w`.
+fn host_of(w: usize, bit: u32) -> u32 {
+    w as u32 * 64 + bit
+}
+
+/// The lowest host set in one level's bitset.
+fn lowest(level: &[u64]) -> Option<u32> {
+    level
+        .iter()
+        .enumerate()
+        .find(|(_, bits)| **bits != 0)
+        .map(|(w, bits)| host_of(w, bits.trailing_zeros()))
 }
 
 /// Lowest-index serving host with a free slot.
@@ -105,6 +143,14 @@ impl PlacementAlgorithm for FirstFit {
             scanned,
         }
     }
+
+    fn choose_indexed(&self, q: &PlacementQuery<'_>, free: &FreeSlots) -> Decision {
+        let host = free.levels().filter_map(lowest).min();
+        Decision {
+            host,
+            scanned: host.map_or(q.used.len() as u32, |h| h + 1),
+        }
+    }
 }
 
 /// Fullest serving host that still fits (ties to the lowest index).
@@ -130,6 +176,13 @@ impl PlacementAlgorithm for BestFitBinPack {
         }
         Decision {
             host: best.map(|(_, h)| h),
+            scanned: q.used.len() as u32,
+        }
+    }
+
+    fn choose_indexed(&self, q: &PlacementQuery<'_>, free: &FreeSlots) -> Decision {
+        Decision {
+            host: free.levels().rev().find_map(lowest),
             scanned: q.used.len() as u32,
         }
     }
@@ -164,6 +217,43 @@ impl RejuvAntiAffinity {
         }
         best.map(|(_, h)| h)
     }
+
+    /// [`scan`](Self::scan) over the index: the lowest host of the lowest
+    /// level once the peer-spacing range and (when respected) the
+    /// not-yet-completed hosts of the imminent window are masked out.
+    fn search(
+        &self,
+        q: &PlacementQuery<'_>,
+        free: &FreeSlots,
+        respect_window: bool,
+    ) -> Option<u32> {
+        let (peer_lo, peer_hi) = q.peer_host.map_or((0, 0), |p| {
+            let s = u64::from(q.pair_spacing.max(1));
+            (u64::from(p).saturating_sub(s - 1), u64::from(p) + s)
+        });
+        let (win_lo, win_hi) = if respect_window && q.window > 0 {
+            (
+                u64::from(q.cursor),
+                u64::from(q.cursor.saturating_add(q.window)),
+            )
+        } else {
+            (0, 0)
+        };
+        free.levels().find_map(|level| {
+            level.iter().enumerate().find_map(|(w, &bits)| {
+                let mut allowed = bits & !range_mask(w, peer_lo, peer_hi);
+                let mut in_window = allowed & range_mask(w, win_lo, win_hi);
+                while in_window != 0 {
+                    let bit = in_window.trailing_zeros();
+                    if !q.completed[host_of(w, bit) as usize] {
+                        allowed &= !(1u64 << bit);
+                    }
+                    in_window &= in_window - 1;
+                }
+                (allowed != 0).then(|| host_of(w, allowed.trailing_zeros()))
+            })
+        })
+    }
 }
 
 impl PlacementAlgorithm for RejuvAntiAffinity {
@@ -180,6 +270,20 @@ impl PlacementAlgorithm for RejuvAntiAffinity {
             },
             None => Decision {
                 host: self.scan(q, false),
+                scanned: hosts * 2,
+            },
+        }
+    }
+
+    fn choose_indexed(&self, q: &PlacementQuery<'_>, free: &FreeSlots) -> Decision {
+        let hosts = q.used.len() as u32;
+        match self.search(q, free, true) {
+            Some(h) => Decision {
+                host: Some(h),
+                scanned: hosts,
+            },
+            None => Decision {
+                host: self.search(q, free, false),
                 scanned: hosts * 2,
             },
         }

@@ -30,7 +30,7 @@ use rh_vmm::config::RebootStrategy;
 use crate::campaign::WaveDriver;
 use crate::config::{CampaignMode, FleetConfig};
 use crate::host::{CellStage, DowntimeTable, HostCell};
-use crate::placement::{PlacementAlgorithm, PlacementQuery};
+use crate::placement::{Decision, PlacementAlgorithm, PlacementQuery};
 use crate::store::{PlacementStore, VmState};
 use crate::workload::{SyntheticWorkload, VmArrival, WorkloadReader};
 
@@ -175,27 +175,44 @@ impl FleetWorld {
         )
     }
 
-    /// Places one VM, returning `(vm, host)` on success.
-    fn place_one(&mut self, peer_host: Option<u32>) -> Option<(u32, u32)> {
-        self.arrivals += 1;
-        self.metrics.inc("fleet.arrivals");
-        let decision = {
-            let q = PlacementQuery {
-                used: self.store.used(),
-                capacity: self.store.capacity(),
-                phases: &self.phases,
-                completed: &self.completed,
-                cursor: self.cursor,
-                window: self.window(),
-                peer_host,
-                pair_spacing: self.pair_spacing(),
-            };
-            self.placement.choose(&q)
+    /// Asks the placement policy for a host (through the store's
+    /// free-slot index) and records the decision's modeled latency.
+    fn decide(&mut self, peer_host: Option<u32>) -> Decision {
+        let q = PlacementQuery {
+            used: self.store.used(),
+            capacity: self.store.capacity(),
+            phases: &self.phases,
+            completed: &self.completed,
+            cursor: self.cursor,
+            window: self.window(),
+            peer_host,
+            pair_spacing: self.pair_spacing(),
         };
+        let decision = self.placement.choose_indexed(&q, self.store.free_slots());
+        debug_assert_eq!(
+            decision,
+            self.placement.choose(&q),
+            "index diverged from the scan"
+        );
         self.metrics.record(
             "placement.latency",
             SimDuration::from_micros(u64::from(decision.scanned)),
         );
+        decision
+    }
+
+    /// Moves `host` to `phase`, keeping the store's free-slot index (which
+    /// admits only serving hosts) in step.
+    fn set_phase(&mut self, host: u32, phase: HostPhase) {
+        self.phases[host as usize] = phase;
+        self.store.set_serving(host, phase == HostPhase::Serving);
+    }
+
+    /// Places one VM, returning `(vm, host)` on success.
+    fn place_one(&mut self, peer_host: Option<u32>) -> Option<(u32, u32)> {
+        self.arrivals += 1;
+        self.metrics.inc("fleet.arrivals");
+        let decision = self.decide(peer_host);
         match decision.host {
             Some(h) => {
                 let vm = self.store.insert(h);
@@ -253,7 +270,7 @@ impl FleetWorld {
         cell.stage = CellStage::Rebooting;
         cell.epoch += 1;
         let epoch = cell.epoch;
-        self.phases[host as usize] = HostPhase::Rebooting;
+        self.set_phase(host, HostPhase::Rebooting);
         let strategy = self
             .cfg
             .campaign
@@ -268,16 +285,14 @@ impl FleetWorld {
 
     /// Starts draining `host` via live migration ahead of its reboot.
     fn begin_evac(&mut self, sched: &mut FlatScheduler<FleetEvent>, host: u32) {
-        {
-            let cell = &mut self.cells[host as usize];
-            debug_assert_eq!(cell.stage, CellStage::Serving);
-            cell.stage = CellStage::Evacuating;
-            cell.epoch += 1;
-            // Conservative projection: the wave budgets the host as down
-            // for its whole drain even though it still serves.
-            self.phases[host as usize] = HostPhase::Rebooting;
-        }
-        let epoch = self.cells[host as usize].epoch;
+        let cell = &mut self.cells[host as usize];
+        debug_assert_eq!(cell.stage, CellStage::Serving);
+        cell.stage = CellStage::Evacuating;
+        cell.epoch += 1;
+        let epoch = cell.epoch;
+        // Conservative projection: the wave budgets the host as down for
+        // its whole drain even though it still serves.
+        self.set_phase(host, HostPhase::Rebooting);
         let vms = self.store.vms_on(host).to_vec();
         let mut cum = SimDuration::ZERO;
         let mut pending = 0u32;
@@ -286,23 +301,7 @@ impl FleetWorld {
                 .store
                 .peer(vm)
                 .and_then(|p| self.store.resident_host(p));
-            let decision = {
-                let q = PlacementQuery {
-                    used: self.store.used(),
-                    capacity: self.store.capacity(),
-                    phases: &self.phases,
-                    completed: &self.completed,
-                    cursor: self.cursor,
-                    window: self.window(),
-                    peer_host,
-                    pair_spacing: self.pair_spacing(),
-                };
-                self.placement.choose(&q)
-            };
-            self.metrics.record(
-                "placement.latency",
-                SimDuration::from_micros(u64::from(decision.scanned)),
-            );
+            let decision = self.decide(peer_host);
             // An unplaceable VM stays and rides the in-place reboot.
             let Some(target) = decision.host else {
                 continue;
@@ -358,7 +357,7 @@ impl FleetWorld {
         let cell = &mut self.cells[host as usize];
         cell.stage = CellStage::Serving;
         cell.epoch += 1;
-        self.phases[host as usize] = HostPhase::Serving;
+        self.set_phase(host, HostPhase::Serving);
     }
 
     /// Final accounting, consumed by [`FleetSimulation::run`].
@@ -444,7 +443,7 @@ impl FlatWorld for FleetWorld {
                 cell.stage = CellStage::Recovering;
                 cell.epoch += 1;
                 let epoch = cell.epoch;
-                self.phases[host as usize] = HostPhase::Recovering;
+                self.set_phase(host, HostPhase::Recovering);
                 self.crashes += 1;
                 self.metrics.inc("fleet.crashes");
                 // lint:allow(unwrap-panic): arm_crash only fires when cfg.aging is Some

@@ -10,6 +10,12 @@
 //! its source (where it still resides) and its target (where it will
 //! land), so concurrent evacuations can never oversubscribe a host — the
 //! invariant the placement property tests pin down.
+//!
+//! The store also keeps a [`FreeSlots`] index — one bitset per used-slot
+//! level over the serving hosts with a free slot — updated in O(1)
+//! wherever occupancy or a host's serving flag changes, so placement
+//! policies answer with word operations instead of a scan over every host
+//! (DESIGN.md §16).
 
 /// Where a VM is, from the store's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +36,111 @@ pub enum VmState {
     Gone,
 }
 
+/// Bits per index word.
+const WORD: u32 = u64::BITS;
+
+/// The free-slot index: for every used-slot level `0..capacity`, a bitset
+/// over the hosts that are serving and have exactly that many slots used,
+/// plus each level's host count.
+///
+/// A host sits in at most one level, and in none when it is full or not
+/// serving, so "serving with a free slot" is the union of the levels and
+/// "fullest host that fits" is the highest non-empty one. Bits past the
+/// last host are always clear.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FreeSlots {
+    words: usize,
+    /// One row of `words` words per level, level-major.
+    bits: Vec<u64>,
+    /// Hosts per level (lets searches skip empty levels).
+    counts: Vec<u32>,
+}
+
+impl FreeSlots {
+    fn zeroed(hosts: u32, capacity: u32) -> Self {
+        let words = hosts.div_ceil(WORD) as usize;
+        FreeSlots {
+            words,
+            bits: vec![0; capacity as usize * words],
+            counts: vec![0; capacity as usize],
+        }
+    }
+
+    /// An index with all `hosts` hosts serving and empty, filled a word at
+    /// a time.
+    fn all_empty(hosts: u32, capacity: u32) -> Self {
+        let mut free = FreeSlots::zeroed(hosts, capacity);
+        if let Some(count) = free.counts.first_mut() {
+            *count = hosts;
+            let level0 = &mut free.bits[..free.words];
+            level0.fill(!0);
+            if let (Some(last), tail @ 1..) = (level0.last_mut(), hosts % WORD) {
+                *last = (1u64 << tail) - 1;
+            }
+        }
+        free
+    }
+
+    /// The index of `used.len()` hosts with `used[h]` slots taken, where
+    /// only the hosts with `serving[h]` accept VMs — the reference the
+    /// incrementally maintained index must always equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `used` and `serving` differ in length.
+    pub fn build(capacity: u32, used: &[u32], serving: &[bool]) -> Self {
+        assert_eq!(used.len(), serving.len(), "one serving flag per host");
+        let mut free = FreeSlots::zeroed(used.len() as u32, capacity);
+        for (h, (&u, &on)) in used.iter().zip(serving).enumerate() {
+            if on {
+                free.insert(h as u32, u);
+            }
+        }
+        free
+    }
+
+    /// The bitsets of the non-empty levels, fewest used slots first: each
+    /// holds the serving hosts with one particular number of slots taken,
+    /// host `h` as bit `h % 64` of word `h / 64`.
+    pub fn levels(&self) -> impl DoubleEndedIterator<Item = &[u64]> {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, hosts)| **hosts > 0)
+            .map(|(l, _)| &self.bits[l * self.words..(l + 1) * self.words])
+    }
+
+    /// Level `used`'s host count, the word holding `host` in it, and the
+    /// host's bit; `None` for a full host, which sits in no level.
+    fn cell(&mut self, host: u32, used: u32) -> Option<(&mut u32, &mut u64, u64)> {
+        let count = self.counts.get_mut(used as usize)?;
+        let word = &mut self.bits[used as usize * self.words + (host / WORD) as usize];
+        Some((count, word, 1u64 << (host % WORD)))
+    }
+
+    /// Adds `host` at level `used`.
+    fn insert(&mut self, host: u32, used: u32) {
+        if let Some((count, word, bit)) = self.cell(host, used) {
+            *count += u32::from(*word & bit == 0);
+            *word |= bit;
+        }
+    }
+
+    /// Removes `host` from level `used`.
+    fn remove(&mut self, host: u32, used: u32) {
+        if let Some((count, word, bit)) = self.cell(host, used) {
+            *count -= u32::from(*word & bit != 0);
+            *word &= !bit;
+        }
+    }
+
+    /// Moves `host` from level `from` to level `to`.
+    fn relevel(&mut self, host: u32, from: u32, to: u32) {
+        self.remove(host, from);
+        self.insert(host, to);
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct VmEntry {
     state: VmState,
@@ -46,6 +157,10 @@ pub struct PlacementStore {
     resident: Vec<u32>,
     /// Resident VM ids per host (evacuation lists, pair audits).
     on_host: Vec<Vec<u32>>,
+    /// Whether each host accepts new VMs (mirrors the campaign phase).
+    serving: Vec<bool>,
+    /// Serving hosts with a free slot, by used-slot level.
+    free: FreeSlots,
     vms: Vec<VmEntry>,
     live: u32,
     peak_live: u32,
@@ -53,13 +168,16 @@ pub struct PlacementStore {
 }
 
 impl PlacementStore {
-    /// An empty store for `hosts` hosts of `capacity` slots each.
+    /// An empty store for `hosts` hosts of `capacity` slots each, every
+    /// host serving.
     pub fn new(hosts: u32, capacity: u32) -> Self {
         PlacementStore {
             capacity,
             used: vec![0; hosts as usize],
             resident: vec![0; hosts as usize],
             on_host: vec![Vec::new(); hosts as usize],
+            serving: vec![true; hosts as usize],
+            free: FreeSlots::all_empty(hosts, capacity),
             vms: Vec::new(),
             live: 0,
             peak_live: 0,
@@ -75,6 +193,26 @@ impl PlacementStore {
     /// Slots consumed per host (including migration reservations).
     pub fn used(&self) -> &[u32] {
         &self.used
+    }
+
+    /// The free-slot index placement policies search.
+    pub fn free_slots(&self) -> &FreeSlots {
+        &self.free
+    }
+
+    /// Marks `host` as accepting new VMs (`true`) or not, moving it into
+    /// or out of the free-slot index. Occupancy is tracked either way.
+    pub fn set_serving(&mut self, host: u32, serving: bool) {
+        let h = host as usize;
+        if self.serving[h] == serving {
+            return;
+        }
+        self.serving[h] = serving;
+        if serving {
+            self.free.insert(host, self.used[h]);
+        } else {
+            self.free.remove(host, self.used[h]);
+        }
     }
 
     /// VMs physically resident on `host`.
@@ -124,14 +262,27 @@ impl PlacementStore {
     }
 
     fn occupy(&mut self, host: u32) {
-        let u = &mut self.used[host as usize];
-        *u += 1;
+        let h = host as usize;
+        let u = self.used[h] + 1;
         assert!(
-            *u <= self.capacity,
+            u <= self.capacity,
             "host {host} oversubscribed: {u} > {} slots",
             self.capacity
         );
-        self.max_used = self.max_used.max(*u);
+        self.used[h] = u;
+        self.max_used = self.max_used.max(u);
+        if self.serving[h] {
+            self.free.relevel(host, u - 1, u);
+        }
+    }
+
+    fn release(&mut self, host: u32) {
+        let h = host as usize;
+        let u = self.used[h] - 1;
+        self.used[h] = u;
+        if self.serving[h] {
+            self.free.relevel(host, u + 1, u);
+        }
     }
 
     /// Places a new VM on `host`, returning its id.
@@ -180,12 +331,12 @@ impl PlacementStore {
         let entry = self.vms[vm as usize];
         match entry.state {
             VmState::Placed { host } => {
-                self.used[host as usize] -= 1;
+                self.release(host);
                 self.drop_resident(host, vm);
             }
             VmState::Migrating { from, to } => {
-                self.used[from as usize] -= 1;
-                self.used[to as usize] -= 1;
+                self.release(from);
+                self.release(to);
                 self.drop_resident(from, vm);
             }
             // lint:allow(unwrap-panic): documented contract (`# Panics`); double-remove is a caller bug
@@ -227,7 +378,7 @@ impl PlacementStore {
             // lint:allow(unwrap-panic): documented contract (`# Panics`); only migration completions land here
             panic!("VM {vm} is not migrating");
         };
-        self.used[from as usize] -= 1;
+        self.release(from);
         self.drop_resident(from, vm);
         self.resident[to as usize] += 1;
         self.on_host[to as usize].push(vm);

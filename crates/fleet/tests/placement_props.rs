@@ -1,14 +1,35 @@
-//! Placement property tests (ISSUE satellite): capacity is never
-//! exceeded, anti-affinity never lets a campaign wave take down both
-//! halves of a replica pair, and fleet runs are deterministic.
+//! Placement property tests: capacity is never exceeded, anti-affinity
+//! never lets a campaign wave take down both halves of a replica pair,
+//! fleet runs are deterministic, and the free-slot index reaches exactly
+//! the decisions of the reference scans.
 
+use rh_cluster::driver::HostPhase;
 use rh_fleet::config::{CampaignConfig, CampaignMode, FleetConfig};
-use rh_fleet::placement::PlacementKind;
+use rh_fleet::placement::{PlacementKind, PlacementQuery};
 use rh_fleet::sim::FleetSimulation;
+use rh_fleet::store::{FreeSlots, PlacementStore, VmState};
 use rh_fleet::workload::{SyntheticWorkload, TraceWorkload};
 use rh_sim::rng::SimRng;
+use rh_sim::testkit::{check, Config, Gen};
 use rh_sim::time::SimTime;
+use rh_sim::{prop_ensure, prop_ensure_eq};
 use rh_vmm::config::RebootStrategy;
+
+/// Fleet sizes around the index's 64-host word boundaries.
+const HOST_COUNTS: [u32; 5] = [1, 63, 64, 65, 130];
+
+fn any_hosts(g: &mut Gen) -> u32 {
+    HOST_COUNTS[g.usize_in(0, HOST_COUNTS.len())]
+}
+
+/// A host near either end of the fleet, or anywhere in it.
+fn any_host_near_ends(g: &mut Gen, hosts: u32) -> u32 {
+    match g.u32_in(0, 3) {
+        0 => g.u32_in(0, hosts.min(3)),
+        1 => hosts - 1 - g.u32_in(0, hosts.min(3)),
+        _ => g.u32_in(0, hosts),
+    }
+}
 
 fn campaigned(hosts: u32, seed: u64, placement: PlacementKind, mode: CampaignMode) -> FleetConfig {
     let mut cfg = FleetConfig::datacenter(hosts).with_placement(placement);
@@ -101,4 +122,121 @@ fn trace_replay_matches_the_synthetic_run() {
         .unwrap()
         .run();
     assert_eq!(live, replayed);
+}
+
+/// `choose_indexed` over an index built from the query's own slices
+/// returns exactly the scan's decision — host and `scanned` — for every
+/// policy, across occupancy, phases, completed sets, cursor, window
+/// (including windows running past the last host), peers near both ends,
+/// pair spacings and capacities.
+#[test]
+fn indexed_placement_matches_the_scan() {
+    check(
+        "indexed_placement_matches_the_scan",
+        &Config::with_cases(512),
+        |g: &mut Gen| {
+            let hosts = any_hosts(g);
+            let capacity = g.u32_in(1, 10);
+            let full_chance = g.f64_in(0.0, 1.0);
+            let serving_chance = g.f64_in(0.2, 1.0);
+            let completed_chance = g.f64_in(0.0, 1.0);
+            let mut used = Vec::new();
+            let mut phases = Vec::new();
+            let mut completed = Vec::new();
+            for _ in 0..hosts {
+                used.push(if g.rng().chance(full_chance) {
+                    capacity
+                } else {
+                    g.u32_in(0, capacity + 1)
+                });
+                phases.push(if g.rng().chance(serving_chance) {
+                    HostPhase::Serving
+                } else if g.any_bool() {
+                    HostPhase::Rebooting
+                } else {
+                    HostPhase::Recovering
+                });
+                completed.push(g.rng().chance(completed_chance));
+            }
+            let serving: Vec<bool> = phases.iter().map(|p| *p == HostPhase::Serving).collect();
+            let free = FreeSlots::build(capacity, &used, &serving);
+            let q = PlacementQuery {
+                used: &used,
+                capacity,
+                phases: &phases,
+                completed: &completed,
+                cursor: g.u32_in(0, hosts + 2),
+                window: if g.any_bool() {
+                    0
+                } else {
+                    g.u32_in(1, hosts + 41)
+                },
+                peer_host: g.any_bool().then(|| any_host_near_ends(g, hosts)),
+                pair_spacing: g.u32_in(1, 41),
+            };
+            for kind in PlacementKind::ALL {
+                let algo = kind.build();
+                prop_ensure_eq!(
+                    algo.choose_indexed(&q, &free),
+                    algo.choose(&q),
+                    "{kind} on {hosts} hosts x {capacity} slots: {q:?}"
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// After any sequence of inserts, removals, migrations and serving
+/// changes, the store's incrementally maintained index equals one rebuilt
+/// from its occupancy and serving flags.
+#[test]
+fn maintained_index_equals_a_rebuild() {
+    check(
+        "maintained_index_equals_a_rebuild",
+        &Config::with_cases(128),
+        |g: &mut Gen| {
+            let hosts = any_hosts(g);
+            let capacity = g.u32_in(1, 10);
+            let mut store = PlacementStore::new(hosts, capacity);
+            let mut serving = vec![true; hosts as usize];
+            let mut live: Vec<u32> = Vec::new();
+            let steps = g.usize_in(0, 400);
+            for step in 0..=steps {
+                let rebuilt = FreeSlots::build(capacity, store.used(), &serving);
+                prop_ensure!(
+                    *store.free_slots() == rebuilt,
+                    "index diverged after {step} ops on {hosts} hosts x {capacity} slots"
+                );
+                if step == steps {
+                    break;
+                }
+                let host = any_host_near_ends(g, hosts);
+                let has_room = store.used()[host as usize] < capacity;
+                match g.u32_in(0, 5) {
+                    0 | 1 if has_room => live.push(store.insert(host)),
+                    2 if !live.is_empty() => {
+                        let vm = live.swap_remove(g.usize_in(0, live.len()));
+                        store.remove(vm);
+                    }
+                    3 if !live.is_empty() => {
+                        let vm = live[g.usize_in(0, live.len())];
+                        match store.state(vm) {
+                            VmState::Placed { host: from } if from != host && has_room => {
+                                store.begin_migration(vm, host);
+                            }
+                            VmState::Migrating { .. } => store.finish_migration(vm),
+                            _ => {}
+                        }
+                    }
+                    _ => {
+                        let on = g.any_bool();
+                        serving[host as usize] = on;
+                        store.set_serving(host, on);
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
 }

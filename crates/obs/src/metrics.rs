@@ -60,9 +60,14 @@ impl Metrics {
         self.add(name, 1);
     }
 
-    /// Adds `delta` to a counter.
+    /// Adds `delta` to a counter. Only a counter's first update allocates
+    /// its name.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        if let Some(v) = self.counters.get_mut(name) {
+            *v += delta;
+        } else {
+            self.counters.insert(name.to_string(), delta);
+        }
     }
 
     /// The current value of a counter (zero if never touched).
@@ -80,9 +85,16 @@ impl Metrics {
         self.gauges.get(name).copied()
     }
 
-    /// Records one duration sample into a timer histogram.
+    /// Records one duration sample into a timer histogram. Only a timer's
+    /// first sample allocates its name.
     pub fn record(&mut self, name: &str, d: SimDuration) {
-        self.timers.entry(name.to_string()).or_default().record(d);
+        if let Some(h) = self.timers.get_mut(name) {
+            h.record(d);
+        } else {
+            let mut h = LatencyHistogram::default();
+            h.record(d);
+            self.timers.insert(name.to_string(), h);
+        }
     }
 
     /// The histogram behind a timer, if any samples were recorded.

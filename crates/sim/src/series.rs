@@ -143,11 +143,21 @@ impl TimeSeries {
     }
 }
 
+/// Stamps per [`CompletionLog`] chunk: 32 KiB of `SimTime`s, below
+/// glibc's 128 KiB mmap threshold, so a long log never makes one large
+/// allocation whose release would raise that threshold.
+const CHUNK: usize = 4096;
+
 /// A log of completion instants (e.g. HTTP responses) supporting windowed
 /// throughput extraction.
+///
+/// Stamps live in fixed-size chunks rather than one doubling vector, so
+/// recording never copies the log and its memory stays in small heap
+/// blocks.
 #[derive(Debug, Clone, Default)]
 pub struct CompletionLog {
-    stamps: Vec<SimTime>,
+    chunks: Vec<Vec<SimTime>>,
+    len: usize,
 }
 
 impl CompletionLog {
@@ -162,25 +172,43 @@ impl CompletionLog {
     ///
     /// Panics if `at` precedes the previous completion.
     pub fn record(&mut self, at: SimTime) {
-        if let Some(&last) = self.stamps.last() {
+        if let Some(&last) = self.chunks.last().and_then(|c| c.last()) {
             assert!(at >= last, "completions must be recorded in order");
         }
-        self.stamps.push(at);
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(at),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(at);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
     }
 
     /// Number of completions recorded.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.len
     }
 
     /// True if nothing has completed.
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.len == 0
+    }
+
+    /// The `i`-th completion, in recording order.
+    fn stamp(&self, i: usize) -> SimTime {
+        self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    /// Every completion, in recording order.
+    fn stamps(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.chunks.iter().flatten().copied()
     }
 
     /// Completions with `lo <= t < hi`.
     pub fn count_between(&self, lo: SimTime, hi: SimTime) -> usize {
-        self.stamps.iter().filter(|t| **t >= lo && **t < hi).count()
+        self.stamps().filter(|t| *t >= lo && *t < hi).count()
     }
 
     /// Average throughput over each consecutive window of `window` requests:
@@ -196,9 +224,9 @@ impl CompletionLog {
         assert!(window > 0, "window must be positive");
         let mut series = TimeSeries::new(format!("throughput_w{window}"));
         let mut i = window;
-        while i <= self.stamps.len() {
-            let start = self.stamps[i - window];
-            let end = self.stamps[i - 1];
+        while i <= self.len {
+            let start = self.stamp(i - window);
+            let end = self.stamp(i - 1);
             let span = (end - start).as_secs_f64();
             let rate = if span > 0.0 {
                 (window as f64 - 1.0) / span
@@ -232,7 +260,7 @@ impl CompletionLog {
     pub fn longest_gap(&self, lo: SimTime, hi: SimTime) -> SimDuration {
         let mut prev = lo;
         let mut best = SimDuration::ZERO;
-        for &t in self.stamps.iter().filter(|t| **t >= lo && **t <= hi) {
+        for t in self.stamps().filter(|t| *t >= lo && *t <= hi) {
             let gap = t - prev;
             if gap > best {
                 best = gap;
@@ -361,6 +389,59 @@ mod tests {
         let log = CompletionLog::new();
         let gap = log.longest_gap(t(10.0), t(30.0));
         assert!((gap.as_secs_f64() - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn completion_log_spans_chunks() {
+        // Three full chunks and a partial fourth, with a 40 s outage
+        // straddling the first chunk boundary.
+        let n = 3 * CHUNK + 123;
+        let stamps: Vec<SimTime> = (0..n)
+            .map(|i| {
+                let outage = if i >= CHUNK { 40.0 } else { 0.0 };
+                t(i as f64 * 0.01 + (i % 7) as f64 * 0.001 + outage)
+            })
+            .collect();
+        let mut log = CompletionLog::new();
+        for &s in &stamps {
+            log.record(s);
+        }
+        assert_eq!(log.len(), n);
+        assert_eq!(log.chunks.len(), 4);
+
+        for (lo, hi) in [(0.0, 200.0), (30.0, 81.0), (40.95, 81.0), (81.0, 200.0)] {
+            let naive = stamps
+                .iter()
+                .filter(|s| **s >= t(lo) && **s < t(hi))
+                .count();
+            assert_eq!(log.count_between(t(lo), t(hi)), naive, "[{lo}, {hi})");
+        }
+
+        let window = 50;
+        let windows: Vec<(SimTime, f64)> = log.throughput_per_window(window).iter().collect();
+        assert_eq!(windows.len(), n / window);
+        for (k, (end, rate)) in windows.into_iter().enumerate() {
+            let first = stamps[k * window];
+            let last = stamps[k * window + window - 1];
+            assert_eq!(end, last, "window {k}");
+            let span = (last - first).as_secs_f64();
+            assert_eq!(rate, (window as f64 - 1.0) / span, "window {k}");
+        }
+
+        let bucketed = log.throughput_per_bucket(SimDuration::from_secs(10), t(200.0));
+        let expected: Vec<f64> = (0..20)
+            .map(|b| {
+                let (lo, hi) = (t(b as f64 * 10.0), t((b + 1) as f64 * 10.0));
+                stamps.iter().filter(|s| **s >= lo && **s < hi).count() as f64 / 10.0
+            })
+            .collect();
+        let got: Vec<f64> = bucketed.iter().map(|(_, v)| v).collect();
+        assert_eq!(got, expected);
+
+        let gap = log.longest_gap(t(0.0), t(200.0)).as_secs_f64();
+        let outage = (stamps[CHUNK] - stamps[CHUNK - 1]).as_secs_f64();
+        assert!(outage > 40.0);
+        assert_eq!(gap, outage, "the outage across the chunk boundary");
     }
 
     #[test]

@@ -17,6 +17,9 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --workspace (offline)"
 cargo test -q --workspace --offline
 
+echo "==> perfbench self-test (the benchmark builds against the public API it uses)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --workspace --no-deps (offline, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
