@@ -6,7 +6,7 @@
 //! tracked in `BENCH_core.json` (see PERFORMANCE.md):
 //!
 //! * `events_per_sec` / `ns_per_event` — self-scheduling event chain
-//!   through the default engine (binary-heap queue, slab slots);
+//!   through the general engine (binary-heap queue, slab slots);
 //! * `digest_frames_per_sec` — full `logical_digest` rehash throughput;
 //! * `digest_early_out_ops_per_sec` — the epoch-stamp check that lets the
 //!   warm path skip the rehash entirely;
@@ -43,7 +43,6 @@ use rh_memory::frame::Pfn;
 use rh_memory::machine::MachineMemory;
 use rh_memory::p2m::P2mTable;
 use rh_sim::engine::{Scheduler, Simulation, World};
-use rh_sim::equeue::QueueKind;
 use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
 use rh_sim::time::{SimDuration, SimTime};
 use rh_storage::image::logical_digest;
@@ -120,13 +119,10 @@ impl FlatWorld for FlatChain {
     }
 }
 
-fn chain(kind: QueueKind) -> u64 {
-    let mut sim = Simulation::with_queue(
-        Chain {
-            remaining: CHAIN_EVENTS,
-        },
-        kind,
-    );
+fn chain() -> u64 {
+    let mut sim = Simulation::new(Chain {
+        remaining: CHAIN_EVENTS,
+    });
     sim.scheduler_mut().schedule_in(SimDuration::ZERO, ());
     sim.run_until_idle();
     sim.scheduler().fired()
@@ -143,8 +139,8 @@ fn flat_chain() -> u64 {
 
 /// Schedule-then-cancel churn: every second event is cancelled, so the
 /// stale-entry skim and the slab free list both stay hot.
-fn churn(kind: QueueKind) -> u64 {
-    let mut sim = Simulation::with_queue(Chain { remaining: 0 }, kind);
+fn churn() -> u64 {
+    let mut sim = Simulation::new(Chain { remaining: 0 });
     let handles: Vec<_> = (0..CHURN_EVENTS)
         .map(|i| {
             sim.scheduler_mut()
@@ -213,19 +209,9 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
         });
     };
 
-    timed("engine/chain/heap", CHAIN_EVENTS, "events", &mut || {
-        chain(QueueKind::BinaryHeap)
-    });
-    timed("engine/chain/calendar", CHAIN_EVENTS, "events", &mut || {
-        chain(QueueKind::Calendar)
-    });
+    timed("engine/chain/heap", CHAIN_EVENTS, "events", &mut || chain());
     timed("flat/chain", CHAIN_EVENTS, "events", &mut || flat_chain());
-    timed("engine/churn/heap", CHURN_EVENTS, "events", &mut || {
-        churn(QueueKind::BinaryHeap)
-    });
-    timed("engine/churn/calendar", CHURN_EVENTS, "events", &mut || {
-        churn(QueueKind::Calendar)
-    });
+    timed("engine/churn/heap", CHURN_EVENTS, "events", &mut || churn());
 
     let (p2m, contents) = digest_fixture();
     let frames = p2m.total_pages() * DIGEST_REPS;
@@ -581,7 +567,7 @@ mod tests {
         let results = run_suite(1);
         let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"engine/chain/heap"));
-        assert!(names.contains(&"engine/chain/calendar"));
+        assert!(names.contains(&"engine/churn/heap"));
         assert!(names.contains(&"flat/chain"));
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));

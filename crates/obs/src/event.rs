@@ -3,12 +3,10 @@
 //! Every observable occurrence in the simulated testbed — reboot phase
 //! transitions, suspend/resume hypercalls per domain, fault injections,
 //! recovery incidents, cluster hosts going up and down — is an [`Event`]
-//! variant. The legacy [`Trace`](rh_sim::trace::Trace) recorded free-form
-//! `(category, message)` string pairs; [`Event::message`] and
-//! [`Event::category`] reproduce those strings byte-for-byte, and
-//! [`Event::from_legacy`] parses them back, so the conversion is lossless
-//! in both directions (anything unrecognised survives verbatim as
-//! [`Event::Note`]).
+//! variant. [`Event::category`] and [`Event::message`] render each one as
+//! the `(category, message)` text pair the trace format has always
+//! printed; one-off annotations without a variant of their own travel as
+//! [`Event::Note`].
 
 use std::fmt;
 
@@ -29,19 +27,6 @@ impl DomId {
     /// True for the privileged dom0.
     pub const fn is_dom0(self) -> bool {
         self.0 == 0
-    }
-
-    /// Parses the display form (`"dom0"` / `"domU7"`).
-    pub fn parse(s: &str) -> Option<DomId> {
-        if s == "dom0" {
-            return Some(DomId::DOM0);
-        }
-        let n: u32 = s.strip_prefix("domU")?.parse().ok()?;
-        if n == 0 {
-            None
-        } else {
-            Some(DomId(n))
-        }
     }
 }
 
@@ -74,16 +59,7 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// All strategies.
-    pub const ALL: [StrategyKind; 5] = [
-        StrategyKind::Warm,
-        StrategyKind::Saved,
-        StrategyKind::Cold,
-        StrategyKind::Streamed,
-        StrategyKind::Incremental,
-    ];
-
-    /// The legacy display name (`"warm"` / `"saved"` / `"cold"` / ...).
+    /// The display name (`"warm"` / `"saved"` / `"cold"` / ...).
     pub const fn name(self) -> &'static str {
         match self {
             StrategyKind::Warm => "warm",
@@ -92,11 +68,6 @@ impl StrategyKind {
             StrategyKind::Streamed => "streamed",
             StrategyKind::Incremental => "incremental",
         }
-    }
-
-    /// Parses the display name.
-    pub fn parse(s: &str) -> Option<StrategyKind> {
-        StrategyKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -117,10 +88,9 @@ pub enum RecoveryKind {
 
 /// One typed observable occurrence.
 ///
-/// `category()` and `message()` reproduce the legacy free-form trace
-/// strings byte-for-byte; `from_legacy` inverts them. Computed messages
-/// that embed measurements or error text (e.g. the quick-reload size
-/// summary) stay free-form as [`Event::Note`].
+/// `category()` and `message()` render the trace text byte-for-byte.
+/// Computed messages that embed measurements or error text (e.g. the
+/// quick-reload size summary) stay free-form as [`Event::Note`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     // --- host lifecycle -------------------------------------------------
@@ -259,19 +229,18 @@ pub enum Event {
     },
 
     // --- escape hatch ---------------------------------------------------
-    /// A free-form legacy entry that has no typed variant (computed
-    /// measurements, error text). Kept verbatim so conversion from the
-    /// legacy trace is lossless.
+    /// A free-form entry that has no typed variant (computed
+    /// measurements, error text), kept verbatim.
     Note {
-        /// Legacy category string.
+        /// Category string.
         category: String,
-        /// Legacy message string.
+        /// Message string.
         message: String,
     },
 }
 
 impl Event {
-    /// A free-form note (the lossless escape hatch).
+    /// A free-form note (the escape hatch).
     pub fn note(category: impl Into<String>, message: impl Into<String>) -> Event {
         Event::Note {
             category: category.into(),
@@ -279,7 +248,7 @@ impl Event {
         }
     }
 
-    /// The legacy category string this event is filed under.
+    /// The category string this event is filed under.
     pub fn category(&self) -> &str {
         match self {
             Event::PowerOn
@@ -328,8 +297,8 @@ impl Event {
         }
     }
 
-    /// The legacy message string, byte-identical to what the free-form
-    /// trace used to record.
+    /// The message string, byte-identical to the text the trace format
+    /// has always printed.
     pub fn message(&self) -> String {
         match self {
             Event::PowerOn => "power on".to_string(),
@@ -477,31 +446,6 @@ impl Event {
             _ => None,
         }
     }
-
-    /// Parses a legacy `(category, message)` pair back into a typed event.
-    ///
-    /// Every string produced by [`category`](Event::category) /
-    /// [`message`](Event::message) parses back to the originating variant;
-    /// anything unrecognised is preserved verbatim as [`Event::Note`], so
-    /// the conversion never loses information.
-    pub fn from_legacy(category: &str, message: &str) -> Event {
-        let note = || Event::note(category, message);
-        match category {
-            "host" => parse_host(message).unwrap_or_else(note),
-            "vmm" => parse_vmm(message).unwrap_or_else(note),
-            "guest" => parse_guest(message).unwrap_or_else(note),
-            "service" => message
-                .strip_suffix(" service up")
-                .and_then(DomId::parse)
-                .map(Event::ServiceUp)
-                .unwrap_or_else(note),
-            "hw" if message == "hardware reset" => Event::HardwareReset,
-            "fault" => parse_fault(message).unwrap_or_else(note),
-            "phase" => parse_phase(message).unwrap_or_else(note),
-            "cluster" => parse_cluster(message).unwrap_or_else(note),
-            _ => note(),
-        }
-    }
 }
 
 impl fmt::Display for Event {
@@ -510,232 +454,9 @@ impl fmt::Display for Event {
     }
 }
 
-fn parse_host(m: &str) -> Option<Event> {
-    match m {
-        "power on" => return Some(Event::PowerOn),
-        "VMM CRASHED" => return Some(Event::VmmCrashed),
-        "VMM FAILED" => return Some(Event::VmmFailed),
-        "micro-reboot recovery commanded" => {
-            return Some(Event::RecoveryCommanded(RecoveryKind::Microreboot))
-        }
-        "cold recovery commanded" => return Some(Event::RecoveryCommanded(RecoveryKind::Cold)),
-        "dom0 up" => return Some(Event::Dom0Up),
-        "dom0 down" => return Some(Event::Dom0Down),
-        _ => {}
-    }
-    if let Some(s) = m.strip_suffix(" reboot commanded") {
-        return StrategyKind::parse(s).map(Event::RebootCommanded);
-    }
-    if let Some(s) = m.strip_suffix(" reboot complete") {
-        return StrategyKind::parse(s).map(Event::RebootComplete);
-    }
-    if let Some(rest) = m.strip_prefix("OS rejuvenation of ") {
-        if let Some(id) = rest.strip_suffix(" skipped (down)") {
-            return DomId::parse(id).map(Event::OsRejuvenationSkipped);
-        }
-        return DomId::parse(rest).map(Event::OsRejuvenation);
-    }
-    if let Some(rest) = m.strip_prefix("retrying cold boot of ") {
-        let (id, attempt) = rest.split_once(" (attempt ")?;
-        let attempt: u32 = attempt.strip_suffix(')')?.parse().ok()?;
-        return Some(Event::ColdBootRetry {
-            dom: DomId::parse(id)?,
-            attempt,
-        });
-    }
-    if let Some(id) = m.strip_suffix(" lost (retries exhausted)") {
-        return DomId::parse(id).map(Event::RetriesExhausted);
-    }
-    None
-}
-
-fn parse_vmm(m: &str) -> Option<Event> {
-    if let Some(v) = m.strip_prefix("xexec staged build v") {
-        return Some(Event::XexecStaged {
-            version: v.parse().ok()?,
-        });
-    }
-    if let Some(g) = m.strip_prefix("new VMM instance up (generation ") {
-        return Some(Event::VmmUp {
-            generation: g.strip_suffix(')')?.parse().ok()?,
-        });
-    }
-    if let Some(g) = m.strip_prefix("VMM booting after reset (generation ") {
-        return Some(Event::VmmBooting {
-            generation: g.strip_suffix(')')?.parse().ok()?,
-        });
-    }
-    let per_dom: [(&str, fn(DomId) -> Event); 11] = [
-        (" salvaged (frozen in place)", Event::Salvaged),
-        (" lost; will cold boot", Event::LostColdBoot),
-        (" frozen on memory", Event::Frozen),
-        (" image save started", Event::SaveStarted),
-        (" image saved", Event::Saved),
-        (" image restore started", Event::RestoreStarted),
-        (" image restored", Event::Restored),
-        (
-            " failed validation; falling back to cold boot",
-            Event::ValidationFailed,
-        ),
-        (" MEMORY IMAGE CORRUPTED", Event::Corrupted),
-        (" stream-in started", Event::StreamStarted),
-        (" stream-in complete", Event::StreamCompleted),
-    ];
-    for (suffix, make) in per_dom {
-        if let Some(id) = m.strip_suffix(suffix) {
-            return DomId::parse(id).map(make);
-        }
-    }
-    if let Some(rest) = m.strip_suffix(" bytes)") {
-        let (id, bytes) = rest.split_once(" delta snapshot (")?;
-        return Some(Event::DeltaSnapshot {
-            dom: DomId::parse(id)?,
-            bytes: bytes.parse().ok()?,
-        });
-    }
-    None
-}
-
-fn parse_guest(m: &str) -> Option<Event> {
-    let per_dom: [(&str, fn(DomId) -> Event); 7] = [
-        (" shutting down", Event::GuestShuttingDown),
-        (" off", Event::GuestOff),
-        (" created, booting", Event::GuestCreated),
-        (" booted", Event::GuestBooted),
-        (" suspending", Event::Suspending),
-        (" resuming", Event::Resuming),
-        (" resumed", Event::Resumed),
-    ];
-    for (suffix, make) in per_dom {
-        if let Some(id) = m.strip_suffix(suffix) {
-            if let Some(id) = DomId::parse(id) {
-                return Some(make(id));
-            }
-        }
-    }
-    None
-}
-
-fn parse_fault(m: &str) -> Option<Event> {
-    if m == "staged xexec image corrupted" {
-        return Some(Event::StagedImageCorrupted);
-    }
-    if let Some(id) = m.strip_suffix(" P2M entry corrupted") {
-        return DomId::parse(id).map(Event::P2mCorrupted);
-    }
-    if let Some(id) = m.strip_suffix(" exec state lost") {
-        return DomId::parse(id).map(Event::ExecStateLost);
-    }
-    if let Some(rest) = m.strip_suffix(" corrupted") {
-        let (id, pfn) = rest.split_once(" frame ")?;
-        return Some(Event::FrameCorrupted {
-            dom: DomId::parse(id)?,
-            pfn: pfn.parse().ok()?,
-        });
-    }
-    None
-}
-
-fn parse_phase(m: &str) -> Option<Event> {
-    if let Some(name) = m.strip_prefix("begin ") {
-        return Phase::parse(name).map(Event::PhaseBegin);
-    }
-    if let Some(name) = m.strip_prefix("end ") {
-        return Phase::parse(name).map(Event::PhaseEnd);
-    }
-    None
-}
-
-fn parse_cluster(m: &str) -> Option<Event> {
-    let rest = m.strip_prefix("host ")?;
-    if let Some(h) = rest.strip_suffix(" up") {
-        return Some(Event::HostUp {
-            host: h.parse().ok()?,
-        });
-    }
-    let h = rest.strip_suffix(" down")?;
-    Some(Event::HostDown {
-        host: h.parse().ok()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn exemplars() -> Vec<Event> {
-        let d = DomId(3);
-        let mut out = vec![
-            Event::PowerOn,
-            Event::VmmCrashed,
-            Event::VmmFailed,
-            Event::RecoveryCommanded(RecoveryKind::Microreboot),
-            Event::RecoveryCommanded(RecoveryKind::Cold),
-            Event::OsRejuvenation(d),
-            Event::OsRejuvenationSkipped(d),
-            Event::ColdBootRetry { dom: d, attempt: 2 },
-            Event::RetriesExhausted(d),
-            Event::Dom0Up,
-            Event::Dom0Down,
-            Event::XexecStaged { version: 7 },
-            Event::VmmUp { generation: 2 },
-            Event::VmmBooting { generation: 2 },
-            Event::Salvaged(d),
-            Event::LostColdBoot(d),
-            Event::Frozen(d),
-            Event::SaveStarted(d),
-            Event::Saved(d),
-            Event::RestoreStarted(d),
-            Event::Restored(d),
-            Event::ValidationFailed(d),
-            Event::Corrupted(d),
-            Event::StreamStarted(d),
-            Event::StreamCompleted(d),
-            Event::DeltaSnapshot {
-                dom: d,
-                bytes: 655360,
-            },
-            Event::GuestShuttingDown(d),
-            Event::GuestOff(d),
-            Event::GuestCreated(d),
-            Event::GuestBooted(d),
-            Event::Suspending(d),
-            Event::Resuming(d),
-            Event::Resumed(d),
-            Event::ServiceUp(d),
-            Event::HardwareReset,
-            Event::StagedImageCorrupted,
-            Event::P2mCorrupted(d),
-            Event::FrameCorrupted { dom: d, pfn: 4096 },
-            Event::ExecStateLost(d),
-            Event::HostUp { host: 1 },
-            Event::HostDown { host: 1 },
-            Event::note("vmm", "quick reload (11 GiB frozen)"),
-        ];
-        for s in StrategyKind::ALL {
-            out.push(Event::RebootCommanded(s));
-            out.push(Event::RebootComplete(s));
-        }
-        for p in Phase::ALL {
-            out.push(Event::PhaseBegin(p));
-            out.push(Event::PhaseEnd(p));
-        }
-        out
-    }
-
-    #[test]
-    fn legacy_round_trip_is_lossless() {
-        for e in exemplars() {
-            let back = Event::from_legacy(e.category(), &e.message());
-            assert_eq!(
-                back,
-                e,
-                "category {:?} message {:?}",
-                e.category(),
-                e.message()
-            );
-        }
-    }
 
     #[test]
     fn messages_match_legacy_strings() {
@@ -764,21 +485,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_strings_survive_as_notes() {
-        let e = Event::from_legacy("vmm", "quick reload failed: disk on fire");
-        assert_eq!(e, Event::note("vmm", "quick reload failed: disk on fire"));
-        // And the note round-trips too.
-        assert_eq!(Event::from_legacy(e.category(), &e.message()), e);
-    }
-
-    #[test]
-    fn dom_id_display_and_parse() {
+    fn dom_id_display() {
         assert_eq!(DomId(0).to_string(), "dom0");
         assert_eq!(DomId(5).to_string(), "domU5");
-        assert_eq!(DomId::parse("dom0"), Some(DomId(0)));
-        assert_eq!(DomId::parse("domU12"), Some(DomId(12)));
-        assert_eq!(DomId::parse("domU0"), None);
-        assert_eq!(DomId::parse("dom1"), None);
     }
 
     #[test]
@@ -793,13 +502,5 @@ mod tests {
             Some(DomId(2))
         );
         assert_eq!(Event::Dom0Up.domain(), None);
-    }
-
-    #[test]
-    fn guest_off_does_not_shadow_longer_suffixes() {
-        // "domU1 image saved" must not parse as GuestOff via a careless
-        // suffix order; categories keep the namespaces apart.
-        let e = Event::from_legacy("vmm", "domU1 image saved");
-        assert_eq!(e, Event::Saved(DomId(1)));
     }
 }

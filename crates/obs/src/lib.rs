@@ -8,10 +8,10 @@
 //!
 //! * [`event`] — the typed [`Event`] model (phase transitions, per-domain
 //!   suspend/resume, fault injections, recovery incidents, cluster host
-//!   up/down) with lossless conversion from the legacy free-form trace,
-//! * [`log`] — the [`EventLog`]: append-only typed records with the
-//!   legacy query surface, typed filters (domain/category/time window)
-//!   and a deterministic JSONL export,
+//!   up/down), each rendering to a `(category, message)` text pair,
+//! * [`log`] — the [`EventLog`]: append-only typed records with text
+//!   and typed filters (domain/category/time window), a one-line text
+//!   rendering and a deterministic JSONL export,
 //! * [`timeline`] — typed reboot [`PhaseSpan`]s keyed by the closed
 //!   [`Phase`] set; renders Fig. 7 timelines byte-identically to the old
 //!   string-keyed recorder,

@@ -1,11 +1,9 @@
 //! The typed event log.
 //!
-//! [`EventLog`] is the typed successor of the free-form
-//! [`Trace`](rh_sim::trace::Trace): an append-only, time-ordered record of
-//! [`Event`]s. It keeps the whole legacy query surface (`log`, `find`,
-//! `contains`, `in_category`, `entries`, `render`) so existing assertions
-//! keep working, and adds typed queries (filter by domain, category or
-//! time window) plus a line-oriented JSON export for offline analysis.
+//! [`EventLog`] is an append-only, time-ordered record of [`Event`]s with
+//! text queries (`find`, `contains`, `in_category`), typed queries (filter
+//! by domain or time window), a one-line-per-event text rendering and a
+//! line-oriented JSON export for offline analysis.
 //!
 //! Determinism: the log never consults a clock or an RNG — entries carry
 //! the simulated instant the caller passes in — so two runs that execute
@@ -15,7 +13,6 @@
 use std::fmt;
 
 use rh_sim::time::SimTime;
-use rh_sim::trace::TraceEntry;
 
 use crate::event::{DomId, Event};
 
@@ -29,7 +26,8 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Renders in the legacy trace-entry format.
+    /// Renders in the trace text format:
+    /// `[<time, right-aligned to 10>] <category, padded to 8> <message>`.
     fn render_legacy(&self) -> String {
         format!(
             "[{:>10}] {:<8} {}",
@@ -97,32 +95,9 @@ impl EventLog {
         self.records.push(EventRecord { at, event });
     }
 
-    /// Records a legacy `(category, message)` pair, parsing it into the
-    /// typed model (no-op when disabled). The conversion is lossless:
-    /// unrecognised strings are kept verbatim as [`Event::Note`].
-    pub fn log(&mut self, at: SimTime, category: impl AsRef<str>, message: impl AsRef<str>) {
-        if !self.enabled {
-            return;
-        }
-        self.emit(at, Event::from_legacy(category.as_ref(), message.as_ref()));
-    }
-
     /// All records, in recording order.
     pub fn records(&self) -> &[EventRecord] {
         &self.records
-    }
-
-    /// Materialises the legacy view: one [`TraceEntry`] per record, with
-    /// the same category/message strings the free-form trace used to hold.
-    pub fn entries(&self) -> Vec<TraceEntry> {
-        self.records
-            .iter()
-            .map(|r| TraceEntry {
-                at: r.at,
-                category: r.event.category().to_string(),
-                message: r.event.message(),
-            })
-            .collect()
     }
 
     /// Number of retained records.
@@ -173,7 +148,7 @@ impl EventLog {
         self.records.clear();
     }
 
-    /// Renders the whole log in the legacy trace format, one line per
+    /// Renders the whole log in the trace text format, one line per
     /// record.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -270,43 +245,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_log_parses_into_typed_events() {
+    fn render_golden_pins_the_text_format() {
         let mut log = EventLog::new();
-        log.log(t(1), "guest", "domU1 suspending");
-        log.log(t(2), "vmm", "quick reload failed: no disk");
-        assert_eq!(log.records()[0].event, Event::Suspending(DomId(1)));
-        assert_eq!(
-            log.records()[1].event,
-            Event::note("vmm", "quick reload failed: no disk")
+        log.emit(t(1), Event::RebootCommanded(StrategyKind::Warm));
+        log.emit(t(2), Event::Suspending(DomId(1)));
+        log.emit(
+            SimTime::from_micros(61_500_250),
+            Event::note("cell", "vm7 parked warm"),
         );
-    }
-
-    #[test]
-    fn entries_reproduce_legacy_strings() {
-        let mut log = EventLog::new();
-        log.emit(t(1), Event::VmmUp { generation: 2 });
-        let entries = log.entries();
-        assert_eq!(entries[0].category, "vmm");
-        assert_eq!(entries[0].message, "new VMM instance up (generation 2)");
-        assert_eq!(entries[0].at, t(1));
-    }
-
-    #[test]
-    fn render_matches_legacy_trace_format() {
-        let mut legacy = rh_sim::trace::Trace::new();
-        let mut typed = EventLog::new();
-        legacy.log(t(1), "host", "warm reboot commanded");
-        legacy.log(t(2), "guest", "domU1 suspending");
-        typed.emit(t(1), Event::RebootCommanded(StrategyKind::Warm));
-        typed.emit(t(2), Event::Suspending(DomId(1)));
-        assert_eq!(typed.render(), legacy.render());
+        assert_eq!(
+            log.render(),
+            "[    1.000s] host     warm reboot commanded\n\
+             [    2.000s] guest    domU1 suspending\n\
+             [   61.500s] cell     vm7 parked warm\n"
+        );
     }
 
     #[test]
     fn disabled_log_drops_events() {
         let mut log = EventLog::disabled();
         log.emit(t(0), Event::PowerOn);
-        log.log(t(0), "host", "power on");
         assert!(log.is_empty());
         assert!(!log.is_enabled());
     }

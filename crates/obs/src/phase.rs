@@ -87,11 +87,6 @@ impl Phase {
             Phase::GuestBoot => "guest boot",
         }
     }
-
-    /// Parses a legacy phase name back into the typed phase.
-    pub fn parse(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
-    }
 }
 
 impl fmt::Display for Phase {
@@ -103,14 +98,6 @@ impl fmt::Display for Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip_through_parse() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::parse(p.name()), Some(p), "{p:?}");
-        }
-        assert_eq!(Phase::parse("warp core alignment"), None);
-    }
 
     #[test]
     fn names_are_distinct() {

@@ -44,9 +44,10 @@
 //! assert_eq!(sim.world().pongs, 1);
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::equeue::{AnyQueue, EventQueue, QueueEntry, QueueKind};
 use crate::slab::{Slab, SlotKey};
 use crate::time::{SimDuration, SimTime};
 
@@ -60,47 +61,50 @@ pub struct EventHandle {
     key: SlotKey,
 }
 
+/// One pending event in the heap: the ordering key plus the slab
+/// coordinates of its payload.
+///
+/// The derived order compares `time`, then `seq`; `seq` is unique per
+/// scheduler, so the slot fields never decide and ties fire FIFO.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct QueueEntry {
+    time: SimTime,
+    seq: u64,
+    index: u32,
+    generation: u32,
+}
+
+impl QueueEntry {
+    fn key(&self) -> SlotKey {
+        SlotKey::from_parts(self.index, self.generation)
+    }
+}
+
 /// The event queue and clock of a simulation.
 ///
 /// The scheduler is handed to [`World::handle`] so event handlers can query
 /// the current time, schedule follow-ups, and cancel pending events.
 ///
 /// Internally, payloads live in a generational [`Slab`] and only small
-/// `Copy` [`QueueEntry`] keys move through the priority queue; the queue
-/// backend is selected at construction (see [`QueueKind`]) and never affects
-/// event order, only performance.
+/// `Copy` keys move through a binary min-heap ordered by `(time, seq)`.
 pub struct Scheduler<E> {
     now: SimTime,
-    queue: AnyQueue,
+    queue: BinaryHeap<Reverse<QueueEntry>>,
     slots: Slab<E>,
     seq: u64,
     fired: u64,
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler at time zero with the default
-    /// (binary-heap) queue backend.
+    /// Creates an empty scheduler at time zero.
     pub fn new() -> Self {
-        Scheduler::with_queue(QueueKind::default())
-    }
-
-    /// Creates an empty scheduler at time zero with the given queue backend.
-    ///
-    /// Every backend yields the identical event sequence (see
-    /// [`crate::equeue`]); pick by measured throughput, not semantics.
-    pub fn with_queue(kind: QueueKind) -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: AnyQueue::of_kind(kind),
+            queue: BinaryHeap::new(),
             slots: Slab::new(),
             seq: 0,
             fired: 0,
         }
-    }
-
-    /// The queue backend this scheduler was built with.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// The current simulated instant.
@@ -133,12 +137,12 @@ impl<E> Scheduler<E> {
         );
         let key = self.slots.insert(event);
         self.seq += 1;
-        self.queue.push(QueueEntry {
+        self.queue.push(Reverse(QueueEntry {
             time: at,
             seq: self.seq,
             index: key.index(),
             generation: key.generation(),
-        });
+        }));
         EventHandle { key }
     }
 
@@ -164,16 +168,13 @@ impl<E> Scheduler<E> {
     /// The firing time of the next pending event, if any.
     pub fn peek_next_time(&mut self) -> Option<SimTime> {
         self.skim_stale();
-        self.queue.peek().map(|e| e.time)
+        self.queue.peek().map(|Reverse(e)| e.time)
     }
 
     /// Drops stale queue entries (cancelled events) from the front.
     fn skim_stale(&mut self) {
-        while let Some(e) = self.queue.peek() {
-            if self
-                .slots
-                .contains(SlotKey::from_parts(e.index, e.generation))
-            {
+        while let Some(Reverse(e)) = self.queue.peek() {
+            if self.slots.contains(e.key()) {
                 break;
             }
             self.queue.pop();
@@ -183,12 +184,12 @@ impl<E> Scheduler<E> {
     /// Pops the next live event, advancing the clock to its firing time.
     fn pop(&mut self) -> Option<E> {
         self.skim_stale();
-        let entry = self.queue.pop()?;
+        let Reverse(entry) = self.queue.pop()?;
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
         let payload = self
             .slots
-            .remove(SlotKey::from_parts(entry.index, entry.generation))
+            .remove(entry.key())
             // lint:allow(unwrap-panic): skim_stale dropped every cancelled key before this pop
             .expect("skim_stale guarantees a live slot");
         self.fired += 1;
@@ -239,18 +240,6 @@ impl<W: World> Simulation<W> {
         }
     }
 
-    /// Creates a simulation at time zero with an explicit queue backend.
-    ///
-    /// Backend choice is a pure performance knob: the event sequence (and
-    /// therefore every simulation outcome) is identical for all
-    /// [`QueueKind`]s.
-    pub fn with_queue(world: W, kind: QueueKind) -> Self {
-        Simulation {
-            world,
-            sched: Scheduler::with_queue(kind),
-        }
-    }
-
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.sched.now()
@@ -297,11 +286,9 @@ impl<W: World> Simulation<W> {
 
     /// Runs until no events remain, then returns the final time.
     ///
-    /// # Panics
-    ///
-    /// Panics after `u64::MAX` steps (practically unreachable) to guard
-    /// against pathological infinite self-scheduling loops in debug use; use
-    /// [`run_until`](Self::run_until) to bound runs explicitly.
+    /// There is no step limit: for a world that keeps scheduling forever
+    /// this never returns, so bound such runs with
+    /// [`run_until`](Self::run_until).
     pub fn run_until_idle(&mut self) -> SimTime {
         while self.step() {}
         self.now()
@@ -508,26 +495,6 @@ mod tests {
         sim.run_until_idle();
         sim.scheduler_mut()
             .schedule_at(SimTime::from_secs(1), Ev::Mark(1));
-    }
-
-    #[test]
-    fn queue_backends_fire_identically() {
-        let run = |kind: QueueKind| {
-            let mut sim = Simulation::with_queue(Recorder::default(), kind);
-            assert_eq!(sim.scheduler().queue_kind(), kind);
-            for n in 0..20 {
-                sim.scheduler_mut()
-                    .schedule_at(SimTime::from_micros(u64::from(n * 7919 % 13)), Ev::Mark(n));
-            }
-            let victim = sim
-                .scheduler_mut()
-                .schedule_at(SimTime::from_micros(6), Ev::Mark(999));
-            sim.scheduler_mut().cancel(victim);
-            sim.scheduler_mut().schedule_at(SimTime::ZERO, Ev::Chain(5));
-            sim.run_until_idle();
-            sim.world().seen.clone()
-        };
-        assert_eq!(run(QueueKind::BinaryHeap), run(QueueKind::Calendar));
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! ## Modules
 //!
 //! * [`time`] — integer-microsecond instants and durations,
-//! * [`engine`] — the event queue, the [`engine::World`] trait and
-//!   the [`engine::Simulation`] driver,
-//! * [`equeue`] — pluggable priority-queue backends (binary heap and
-//!   calendar queue) behind the [`equeue::EventQueue`] trait,
+//! * [`engine`] — the event queue (a binary heap over slab-backed
+//!   payloads), the [`engine::World`] trait and the
+//!   [`engine::Simulation`] driver,
 //! * [`flat`] — a lean scheduler for small `Copy` events (no handles, no
 //!   cancellation) for throughput-critical inner loops,
 //! * [`slab`] — the generational slab allocator backing event payloads,
@@ -26,8 +25,7 @@
 //! * [`rng`] — seeded deterministic randomness (in-repo xoshiro256++),
 //! * [`series`] — time-series and completion-log recorders,
 //! * [`stats`] — summary statistics and least-squares fitting,
-//! * [`testkit`] — a zero-dependency property-testing harness,
-//! * [`trace`] — structured, timestamped event tracing.
+//! * [`testkit`] — a zero-dependency property-testing harness.
 //!
 //! ## Example
 //!
@@ -76,7 +74,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod engine;
-pub mod equeue;
 pub mod flat;
 pub mod histogram;
 pub mod pool;
@@ -88,9 +85,7 @@ pub mod slab;
 pub mod stats;
 pub mod testkit;
 pub mod time;
-pub mod trace;
 
 pub use engine::{EventHandle, Scheduler, Simulation, World};
-pub use equeue::{EventQueue, QueueKind};
 pub use resource::{JobId, PsResource, Retick};
 pub use time::{SimDuration, SimTime};

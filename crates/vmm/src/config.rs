@@ -5,7 +5,6 @@
 //! experiments (and our ablations) turn.
 
 use rh_guest::services::ServiceKind;
-use rh_sim::equeue::QueueKind;
 use rh_sim::time::SimDuration;
 
 use crate::domain::DomainSpec;
@@ -99,10 +98,6 @@ pub struct HostConfig {
     /// Model OS-level aging inside guests (kernel-memory/swap wear that
     /// slows request service until an OS reboot).
     pub guest_aging: bool,
-    /// Event-queue backend for the simulation engine. Both backends are
-    /// observationally identical (enforced by `crates/sim/tests/queue_props.rs`
-    /// and `tests/determinism.rs`); this knob exists for benchmarking.
-    pub event_queue: QueueKind,
     /// Fraction of each image read before resume under
     /// [`RebootStrategy::Streamed`] (the restored working set).
     pub stream_working_set: f64,
@@ -128,7 +123,6 @@ impl HostConfig {
             trace: true,
             probes: false,
             guest_aging: false,
-            event_queue: QueueKind::default(),
             stream_working_set: 0.15,
             stream_locality: 0.9,
             snapshot_interval: None,
@@ -184,13 +178,6 @@ impl HostConfig {
     /// Overrides the timing parameters.
     pub fn with_timing(mut self, timing: TimingParams) -> Self {
         self.timing = timing;
-        self
-    }
-
-    /// Overrides the engine's event-queue backend (benchmarking knob;
-    /// does not change observable behaviour).
-    pub fn with_event_queue(mut self, kind: QueueKind) -> Self {
-        self.event_queue = kind;
         self
     }
 
@@ -255,13 +242,11 @@ mod tests {
             .with_seed(99)
             .with_trace(false)
             .with_probes(true)
-            .with_suspend_order(SuspendOrder::Dom0DuringShutdown)
-            .with_event_queue(QueueKind::Calendar);
+            .with_suspend_order(SuspendOrder::Dom0DuringShutdown);
         assert_eq!(c.seed, 99);
         assert!(!c.trace);
         assert!(c.probes);
         assert_eq!(c.suspend_order, SuspendOrder::Dom0DuringShutdown);
-        assert_eq!(c.event_queue, QueueKind::Calendar);
     }
 
     #[test]

@@ -41,11 +41,10 @@ pub struct HostSim {
 }
 
 impl HostSim {
-    /// Builds the host (powered off), honouring `cfg.event_queue`.
+    /// Builds the host (powered off).
     pub fn new(cfg: HostConfig) -> Self {
-        let kind = cfg.event_queue;
         HostSim {
-            sim: Simulation::with_queue(Host::new(cfg), kind),
+            sim: Simulation::new(Host::new(cfg)),
         }
     }
 
@@ -414,31 +413,6 @@ mod tests {
             0,
             "no clean-path verification should pay the full rehash"
         );
-    }
-
-    #[test]
-    fn calendar_queue_backend_reproduces_the_heap_run() {
-        // The event-queue knob must not change observable behaviour: the
-        // same config on both backends yields identical timing, digests,
-        // and reports (the engine-level property, proven per-queue in
-        // rh-sim, holding through the full host world).
-        use rh_sim::equeue::QueueKind;
-        let run = |kind: QueueKind| {
-            let cfg = HostConfig::paper_testbed()
-                .with_vms(3, ServiceKind::Ssh)
-                .with_event_queue(kind);
-            let mut sim = HostSim::new(cfg);
-            sim.power_on_and_wait();
-            let report = sim.reboot_and_wait(RebootStrategy::Warm);
-            let digests: Vec<_> = sim
-                .host()
-                .domu_ids()
-                .iter()
-                .map(|id| sim.host().domain_digest(*id))
-                .collect();
-            (sim.now(), report.mean_downtime(), digests)
-        };
-        assert_eq!(run(QueueKind::BinaryHeap), run(QueueKind::Calendar));
     }
 
     #[test]

@@ -11,6 +11,43 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+
+lint() { cargo run -q --release -p rh-lint --offline -- "$@"; }
+bench() { bin=$1; shift; cargo run -q --release -p rh-bench --bin "$bin" --offline -- "$@"; }
+
+# must_fail_citing CITE CMD...: CMD must fail, and its output must name
+# the violated invariant CITE (e.g. "I7 single-recovery").
+must_fail_citing() {
+    cite=$1 id=${1%% *}
+    shift
+    case $id in I*) a=an ;; *) a=a ;; esac
+    if "$@" > "$smoke_dir/must_fail.txt" 2>&1; then
+        echo "FAIL: $* must produce $a $id counterexample" >&2
+        exit 1
+    fi
+    if ! grep -q "$cite" "$smoke_dir/must_fail.txt"; then
+        echo "FAIL: $* counterexample must cite $id" >&2
+        cat "$smoke_dir/must_fail.txt" >&2
+        exit 1
+    fi
+}
+
+# same_at_jobs N CMD...: CMD --jobs N must print byte-for-byte what
+# CMD --jobs 1 prints.
+same_at_jobs() {
+    n=$1
+    shift
+    "$@" --jobs 1 > "$smoke_dir/jobs_1.txt"
+    "$@" --jobs "$n" > "$smoke_dir/jobs_n.txt"
+    if ! cmp -s "$smoke_dir/jobs_1.txt" "$smoke_dir/jobs_n.txt"; then
+        echo "FAIL: $* --jobs $n output differs from --jobs 1" >&2
+        diff "$smoke_dir/jobs_1.txt" "$smoke_dir/jobs_n.txt" >&2 || true
+        exit 1
+    fi
+}
+
 echo "==> cargo build --release --workspace (offline)"
 cargo build --release --workspace --offline
 
@@ -24,112 +61,37 @@ echo "==> cargo doc --workspace --no-deps (offline, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> rh-lint --check (static analysis, ratcheted baseline)"
-cargo run -q --release -p rh-lint --offline -- --check
+lint --check
 
 echo "==> rh-lint protocol (warm-reboot interleaving checker)"
-cargo run -q --release -p rh-lint --offline -- protocol --domains 3
+lint protocol --domains 3
 
 echo "==> rh-lint protocol --faults (crash-recovery invariant I5)"
-cargo run -q --release -p rh-lint --offline -- protocol --domains 3 --faults
-if cargo run -q --release -p rh-lint --offline -- \
-    protocol --domains 3 --faults --unsafe-recovery >/dev/null 2>&1; then
-    echo "FAIL: --unsafe-recovery must produce an I5 counterexample" >&2
-    exit 1
-fi
-
-smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
+lint protocol --domains 3 --faults
+must_fail_citing "I5 recovery-validation" \
+    lint protocol --domains 3 --faults --unsafe-recovery
 
 echo "==> rh-lint fleet (rolling-campaign invariants I6/I7, DESIGN.md §14)"
-cargo run -q --release -p rh-lint --offline -- fleet
+lint fleet
 # The rh-fleet simulator's wave driver must satisfy the same invariants
 # under crash interleavings (it is the rule the datacenter campaigns run).
-cargo run -q --release -p rh-lint --offline -- \
-    fleet --driver wave --hosts 5 --max-down 2 --crashes 2
-if cargo run -q --release -p rh-lint --offline -- \
-    fleet --buggy-overlap > "$smoke_dir/fleet_buggy.txt" 2>&1; then
-    echo "FAIL: fleet --buggy-overlap must produce an I7 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "I7 single-recovery" "$smoke_dir/fleet_buggy.txt"; then
-    echo "FAIL: fleet --buggy-overlap counterexample must cite I7" >&2
-    cat "$smoke_dir/fleet_buggy.txt" >&2
-    exit 1
-fi
+lint fleet --driver wave --hosts 5 --max-down 2 --crashes 2
+must_fail_citing "I7 single-recovery" lint fleet --buggy-overlap
 
 echo "==> rh-lint postcopy (stream-in invariants P1/P2, DESIGN.md §15)"
-cargo run -q --release -p rh-lint --offline -- postcopy
-if cargo run -q --release -p rh-lint --offline -- \
-    postcopy --buggy > "$smoke_dir/postcopy_buggy.txt" 2>&1; then
-    echo "FAIL: postcopy --buggy must produce a P1 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "P1 validated-before-serve" "$smoke_dir/postcopy_buggy.txt"; then
-    echo "FAIL: postcopy --buggy counterexample must cite P1" >&2
-    cat "$smoke_dir/postcopy_buggy.txt" >&2
-    exit 1
-fi
+lint postcopy
+must_fail_citing "P1 validated-before-serve" lint postcopy --buggy
 
 echo "==> rh-lint balloon (cell balloon invariants I8/I9, DESIGN.md §17)"
-cargo run -q --release -p rh-lint --offline -- balloon --domains 3
-if cargo run -q --release -p rh-lint --offline -- \
-    balloon --buggy > "$smoke_dir/balloon_buggy.txt" 2>&1; then
-    echo "FAIL: balloon --buggy must produce an I8 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "I8 frozen-frames-fenced" "$smoke_dir/balloon_buggy.txt"; then
-    echo "FAIL: balloon --buggy counterexample must cite I8" >&2
-    cat "$smoke_dir/balloon_buggy.txt" >&2
-    exit 1
-fi
-if cargo run -q --release -p rh-lint --offline -- \
-    balloon --buggy-deflate > "$smoke_dir/balloon_deflate.txt" 2>&1; then
-    echo "FAIL: balloon --buggy-deflate must produce an I9 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "I9 validated-before-map" "$smoke_dir/balloon_deflate.txt"; then
-    echo "FAIL: balloon --buggy-deflate counterexample must cite I9" >&2
-    cat "$smoke_dir/balloon_deflate.txt" >&2
-    exit 1
-fi
+lint balloon --domains 3
+must_fail_citing "I8 frozen-frames-fenced" lint balloon --buggy
+must_fail_citing "I9 validated-before-map" lint balloon --buggy-deflate
 
 echo "==> model-checker --jobs determinism smoke (jobs 1 vs 4)"
-cargo run -q --release -p rh-lint --offline -- \
-    protocol --domains 4 --jobs 1 > "$smoke_dir/mc_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    protocol --domains 4 --jobs 4 > "$smoke_dir/mc_par.txt"
-if ! cmp -s "$smoke_dir/mc_seq.txt" "$smoke_dir/mc_par.txt"; then
-    echo "FAIL: protocol --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/mc_seq.txt" "$smoke_dir/mc_par.txt" >&2 || true
-    exit 1
-fi
-cargo run -q --release -p rh-lint --offline -- \
-    fleet --jobs 1 > "$smoke_dir/fleet_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    fleet --jobs 4 > "$smoke_dir/fleet_par.txt"
-if ! cmp -s "$smoke_dir/fleet_seq.txt" "$smoke_dir/fleet_par.txt"; then
-    echo "FAIL: fleet --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/fleet_seq.txt" "$smoke_dir/fleet_par.txt" >&2 || true
-    exit 1
-fi
-cargo run -q --release -p rh-lint --offline -- \
-    postcopy --jobs 1 > "$smoke_dir/pc_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    postcopy --jobs 4 > "$smoke_dir/pc_par.txt"
-if ! cmp -s "$smoke_dir/pc_seq.txt" "$smoke_dir/pc_par.txt"; then
-    echo "FAIL: postcopy --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/pc_seq.txt" "$smoke_dir/pc_par.txt" >&2 || true
-    exit 1
-fi
-cargo run -q --release -p rh-lint --offline -- \
-    balloon --jobs 1 > "$smoke_dir/bl_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    balloon --jobs 4 > "$smoke_dir/bl_par.txt"
-if ! cmp -s "$smoke_dir/bl_seq.txt" "$smoke_dir/bl_par.txt"; then
-    echo "FAIL: balloon --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/bl_seq.txt" "$smoke_dir/bl_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs 4 lint protocol --domains 4
+same_at_jobs 4 lint fleet
+same_at_jobs 4 lint postcopy
+same_at_jobs 4 lint balloon
 
 echo "==> all --jobs 2 determinism smoke (reduced range, DESIGN.md §10)"
 cargo run -q --release -p rh-bench --bin all --offline -- \
@@ -176,48 +138,16 @@ if ! cmp -s "$smoke_dir/seq.txt" "$smoke_dir/notrace.txt"; then
 fi
 
 echo "==> faults --jobs 2 determinism smoke (reliability fault sweep)"
-cargo run -q --release -p rh-bench --bin faults --offline -- \
-    --jobs 2 --quick > "$smoke_dir/faults_par.txt"
-cargo run -q --release -p rh-bench --bin faults --offline -- \
-    --jobs 1 --quick > "$smoke_dir/faults_seq.txt"
-if ! cmp -s "$smoke_dir/faults_seq.txt" "$smoke_dir/faults_par.txt"; then
-    echo "FAIL: faults --jobs 2 output differs from --jobs 1" >&2
-    diff "$smoke_dir/faults_seq.txt" "$smoke_dir/faults_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs 2 bench faults --quick
 
 echo "==> frontier --jobs 4 determinism smoke (strategy frontier sweep)"
-cargo run -q --release -p rh-bench --bin frontier --offline -- \
-    --quick --jobs 4 > "$smoke_dir/frontier_par.txt"
-cargo run -q --release -p rh-bench --bin frontier --offline -- \
-    --quick --jobs 1 > "$smoke_dir/frontier_seq.txt"
-if ! cmp -s "$smoke_dir/frontier_seq.txt" "$smoke_dir/frontier_par.txt"; then
-    echo "FAIL: frontier --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/frontier_seq.txt" "$smoke_dir/frontier_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs 4 bench frontier --quick
 
 echo "==> fleetbench --jobs 4 determinism smoke (datacenter fleet sweep)"
-cargo run -q --release -p rh-bench --bin fleetbench --offline -- \
-    --quick --jobs 4 > "$smoke_dir/fleet_bench_par.txt"
-cargo run -q --release -p rh-bench --bin fleetbench --offline -- \
-    --quick --jobs 1 > "$smoke_dir/fleet_bench_seq.txt"
-if ! cmp -s "$smoke_dir/fleet_bench_seq.txt" "$smoke_dir/fleet_bench_par.txt"; then
-    echo "FAIL: fleetbench --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/fleet_bench_seq.txt" "$smoke_dir/fleet_bench_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs 4 bench fleetbench --quick
 
 echo "==> cellbench --jobs 4 determinism smoke (serverless cell sweep)"
-cargo run -q --release -p rh-bench --bin cellbench --offline -- \
-    --quick --jobs 4 > "$smoke_dir/cell_bench_par.txt"
-cargo run -q --release -p rh-bench --bin cellbench --offline -- \
-    --quick --jobs 1 > "$smoke_dir/cell_bench_seq.txt"
-if ! cmp -s "$smoke_dir/cell_bench_seq.txt" "$smoke_dir/cell_bench_par.txt"; then
-    echo "FAIL: cellbench --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/cell_bench_seq.txt" "$smoke_dir/cell_bench_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs 4 bench cellbench --quick
 
 echo "==> bench gate (quick corebench vs committed BENCH_core.json)"
 # Quick profile: same workload sizes as the committed full-profile
@@ -226,11 +156,9 @@ echo "==> bench gate (quick corebench vs committed BENCH_core.json)"
 # A quick-profile miss escalates to a careful 15-sample run before the
 # gate is declared failed: best-of-15 is robust to transient machine
 # load, while a genuine regression fails both runs.
-if ! cargo run -q --release -p rh-bench --bin corebench --offline -- \
-    --quick --gate BENCH_core.json; then
+if ! bench corebench --quick --gate BENCH_core.json; then
     echo "==> bench gate: quick profile missed; rechecking with 15 samples"
-    cargo run -q --release -p rh-bench --bin corebench --offline -- \
-        --iters 15 --gate BENCH_core.json
+    bench corebench --iters 15 --gate BENCH_core.json
 fi
 
 echo "==> cargo fmt --check"

@@ -59,7 +59,6 @@ pub mod prelude {
     pub use rh_rejuv::availability::{AvailabilityComparison, AvailabilityModel};
     pub use rh_rejuv::model::DowntimeModel;
     pub use rh_rejuv::policy::{run_policy, TimeBasedPolicy};
-    pub use rh_sim::equeue::QueueKind;
     pub use rh_sim::time::{SimDuration, SimTime};
     pub use rh_vmm::config::{HostConfig, RebootStrategy, SuspendOrder};
     pub use rh_vmm::domain::{DomainId, DomainSpec};

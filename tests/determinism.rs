@@ -5,15 +5,10 @@
 use roothammer::prelude::*;
 
 fn run_one(seed: u64, strategy: RebootStrategy) -> (Vec<f64>, usize, u64) {
-    run_one_on(seed, strategy, QueueKind::BinaryHeap)
-}
-
-fn run_one_on(seed: u64, strategy: RebootStrategy, queue: QueueKind) -> (Vec<f64>, usize, u64) {
     let cfg = HostConfig::paper_testbed()
         .with_vms(5, ServiceKind::Jboss)
         .with_seed(seed)
-        .with_probes(true)
-        .with_event_queue(queue);
+        .with_probes(true);
     let mut sim = HostSim::new(cfg);
     sim.power_on_and_wait();
     let report = sim.reboot_and_wait(strategy);
@@ -39,24 +34,6 @@ fn identical_runs_are_bit_identical() {
         let a = run_one(42, strategy);
         let b = run_one(42, strategy);
         assert_eq!(a, b, "{strategy} runs diverged");
-    }
-}
-
-/// The event-queue backend is an implementation detail: the calendar
-/// queue must reproduce the binary heap's runs bit-for-bit (downtime
-/// vector, trace length, and memory digests) on every strategy. This is
-/// the host-scale face of the per-queue properties in
-/// `crates/sim/tests/queue_props.rs`.
-#[test]
-fn calendar_queue_runs_are_bit_identical_to_heap_runs() {
-    for strategy in [
-        RebootStrategy::Warm,
-        RebootStrategy::Cold,
-        RebootStrategy::Saved,
-    ] {
-        let heap = run_one_on(42, strategy, QueueKind::BinaryHeap);
-        let calendar = run_one_on(42, strategy, QueueKind::Calendar);
-        assert_eq!(heap, calendar, "{strategy}: queue backends diverged");
     }
 }
 
