@@ -8,8 +8,10 @@
 //! * `events_per_sec` / `ns_per_event` — self-scheduling event chain
 //!   through the general engine (binary-heap queue, slab slots);
 //! * `digest_frames_per_sec` — full `logical_digest` rehash throughput;
-//! * `digest_early_out_ops_per_sec` — the epoch-stamp check that lets the
-//!   warm path skip the rehash entirely;
+//! * `digest_early_out_ops_per_sec` — `FrameContents::unchanged_since`
+//!   probes, the dirty-log check behind incremental saves' dirty-extent
+//!   accounting (resume verification compares memory-image captures and
+//!   does not use it);
 //! * `peak_rss_bytes` — VmHWM of the benchmark process (context, not
 //!   gated).
 //!
@@ -222,6 +224,7 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
         }
         acc
     });
+    // `unchanged_since` probes: incremental saves' dirty-extent check.
     let ranges = p2m.machine_ranges();
     let epoch = contents.epoch();
     timed("digest/early_out", EARLY_OUT_CALLS, "ops", &mut || {

@@ -147,32 +147,54 @@ fn corrupted_domain_is_cold_booted_never_resumed() {
 
 #[test]
 fn corruption_defeats_the_digest_early_out() {
-    // Regression for the epoch-stamp early-out: flipping a frozen frame
-    // between suspend and resume must force the full rehash (the dirty
-    // log records the write, so the early-out cannot fire for the victim)
-    // and the corruption must still be detected. Without recovery the
-    // domain is flagged in the report rather than cold-booted.
-    let plan = FaultPlan::new(23).arm(
-        InjectPoint::QuickReload,
-        Trigger::Always,
-        FaultKind::FrameCorruption(DomainId(1)),
-    );
-    let mut sim = booted_host(3, ServiceKind::Ssh);
-    sim.host_mut()
-        .arm_fault_hook(Box::new(Injector::new(&plan)));
-    let report = sim.reboot_and_wait(RebootStrategy::Warm);
+    // Every memory-preserving strategy must catch memory that changed
+    // between freeze and resume: a flipped frame, or a P2M entry that now
+    // points elsewhere. Only the victim's re-capture differs from its
+    // frozen image, so it alone pays the full rehash and the two untouched
+    // domains still early-out. Without recovery the victim is flagged in
+    // the report rather than cold-booted.
 
-    assert_eq!(report.corrupted, vec![DomainId(1)], "corruption missed");
-    let stats = &sim.host().stats;
-    assert!(
-        stats.counter("digest.full_rehash") >= 1,
-        "the corrupted domain must pay the full rehash"
-    );
-    assert_eq!(
-        stats.counter("digest.early_out"),
-        2,
-        "the two untouched domains still early-out"
-    );
+    // A frozen frame flipped while the new VMM instance comes up.
+    let mut cases = vec![(
+        RebootStrategy::Warm,
+        InjectPoint::QuickReload,
+        FaultKind::FrameCorruption(DomainId(1)),
+    )];
+    for strategy in [
+        RebootStrategy::Warm,
+        RebootStrategy::Saved,
+        RebootStrategy::Streamed,
+        RebootStrategy::Incremental,
+    ] {
+        for kind in [
+            FaultKind::FrameCorruption(DomainId(1)),
+            FaultKind::P2mCorruption(DomainId(2)),
+        ] {
+            cases.push((strategy, InjectPoint::ResumeStart, kind));
+        }
+    }
+    for (strategy, point, kind) in cases {
+        let case = format!("{strategy} with {kind} at {point:?}");
+        let plan = FaultPlan::new(23).arm(point, Trigger::Always, kind);
+        let mut sim = booted_host(3, ServiceKind::Ssh);
+        sim.host_mut()
+            .arm_fault_hook(Box::new(Injector::new(&plan)));
+        let report = sim.reboot_and_wait(strategy);
+
+        let victim = kind.victim().expect("corruption faults name a victim");
+        assert_eq!(report.corrupted, vec![victim], "{case}: corruption missed");
+        let stats = &sim.host().stats;
+        assert_eq!(
+            stats.counter("digest.full_rehash"),
+            1,
+            "{case}: only the corrupted domain pays the full rehash"
+        );
+        assert_eq!(
+            stats.counter("digest.early_out"),
+            2,
+            "{case}: the two untouched domains still early-out"
+        );
+    }
 }
 
 #[test]

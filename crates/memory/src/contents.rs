@@ -9,9 +9,10 @@
 //!   frame's signature is derived via [`splitmix64`].
 //!
 //! The warm-VM reboot's central claim — *the memory image of every domain
-//! survives the VMM reboot untouched* — becomes a checkable invariant:
-//! digest a domain's memory (in pseudo-physical page order) before the
-//! reboot and after resume, and compare.
+//! survives the VMM reboot untouched* — becomes a checkable invariant: a
+//! domain's memory (in pseudo-physical page order) reads the same after
+//! resume as at freeze. `rh-storage`'s memory images check it from the
+//! pattern extents and explicit writes, without a per-frame walk.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -94,9 +95,10 @@ impl FrameContents {
     /// a `false` answer means "changed, or too many mutations ago to
     /// know" — the dirty log only spans the last [`DIRTY_WINDOW`]
     /// mutations, and once it has wrapped, an epoch at the evicted edge
-    /// (exactly the oldest retained entry) also answers `false`. This is what lets the VMM's resume path skip a full
-    /// O(frames) digest recomputation when a domain's memory provably sat
-    /// untouched across a reboot (`PERFORMANCE.md` §digest maintenance).
+    /// (exactly the oldest retained entry) also answers `false`. The
+    /// incremental save strategy uses it to count only the extents a
+    /// guest dirtied since its last snapshot
+    /// (`rh_storage::image::dirty_extent_bytes`).
     ///
     /// # Examples
     ///
@@ -653,8 +655,9 @@ mod tests {
 
     #[test]
     fn corrupt_always_dirties_the_frame() {
-        // The early-out must never mask fault injection: corrupt() goes
-        // through write(), so the dirty log always records the frame.
+        // Dirty-extent accounting must never miss fault injection:
+        // corrupt() goes through write(), so the dirty log always records
+        // the frame.
         let mut mem = FrameContents::new();
         mem.fill_pattern(r(0, 10), 5);
         let epoch = mem.epoch();

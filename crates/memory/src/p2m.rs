@@ -94,8 +94,8 @@ impl P2mTable {
     /// mapping ([`map`](Self::map), [`unmap`](Self::unmap),
     /// [`unmap_top`](Self::unmap_top), [`clear`](Self::clear),
     /// [`corrupt_extent`](Self::corrupt_extent)). An unchanged epoch
-    /// guarantees an unchanged PFN→MFN function — the cheap half of the
-    /// VMM's digest early-out (see
+    /// guarantees an unchanged PFN→MFN function — what tells an
+    /// incremental snapshot chain it still describes this mapping (see
     /// [`FrameContents::unchanged_since`](crate::contents::FrameContents::unchanged_since)).
     pub fn epoch(&self) -> u64 {
         self.epoch

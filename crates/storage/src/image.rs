@@ -9,7 +9,9 @@
 //! [`MemoryImage`] captures a domain's logical (pseudo-physical) contents
 //! extent-wise, and restores them onto a *different* machine-frame mapping
 //! with bit-identical logical contents — verified via
-//! [`logical_digest`]. [`ImageStore`] models the on-disk save files.
+//! [`logical_digest`]. Captures are canonical, so comparing two of them
+//! is the O(extents) preservation check every memory-preserving reboot
+//! runs at resume. [`ImageStore`] models the on-disk save files.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -27,7 +29,9 @@ struct LogicalRun {
     base: u64,
 }
 
-/// Error returned when a restore target does not match the image geometry.
+/// Error returned when a restore target does not match the image geometry:
+/// it maps a different number of pages, or the same number at different
+/// PFNs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestoreMismatch {
     /// Pages in the image.
@@ -38,17 +42,47 @@ pub struct RestoreMismatch {
 
 impl fmt::Display for RestoreMismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "restore target has {} pages but image holds {}",
-            self.target_pages, self.image_pages
-        )
+        if self.target_pages == self.image_pages {
+            write!(
+                f,
+                "restore target maps its {} pages at other PFNs than the image",
+                self.target_pages
+            )
+        } else {
+            write!(
+                f,
+                "restore target has {} pages but image holds {}",
+                self.target_pages, self.image_pages
+            )
+        }
     }
 }
 
 impl std::error::Error for RestoreMismatch {}
 
+/// The mapped PFN extents of `p2m` as `(start, count)`, ascending, with
+/// PFN-adjacent extents merged.
+fn mapped_extents(p2m: &P2mTable) -> Vec<(u64, u64)> {
+    let mut extents: Vec<(u64, u64)> = Vec::new();
+    for (pfn, mrange) in p2m.iter_extents() {
+        match extents.last_mut() {
+            Some((start, count)) if *start + *count == pfn.0 => *count += mrange.count,
+            _ => extents.push((pfn.0, mrange.count)),
+        }
+    }
+    extents
+}
+
 /// A captured domain memory image, addressed by PFN.
+///
+/// A capture is canonical: it records the mapped PFN extents, the pattern
+/// runs (adjacent runs merged when PFN, salt and base all continue) and
+/// the explicit writes, so it does not depend on which machine frames
+/// back the domain or how they are fragmented. Equal captures therefore
+/// describe equal logical views, and so have equal
+/// [`digest`](Self::digest)s. The converse does not hold — an explicit
+/// write can store the value a pattern already held — so a caller that
+/// finds two captures unequal settles the question with the digests.
 ///
 /// # Examples
 ///
@@ -66,6 +100,7 @@ impl std::error::Error for RestoreMismatch {}
 ///
 /// let image = MemoryImage::capture(&p2m, &mem);
 /// let before = logical_digest(&p2m, &mem);
+/// assert_eq!(image.digest(), before);
 ///
 /// // Restore onto different machine frames.
 /// let frames2 = ram.allocate(1024)?;
@@ -73,37 +108,54 @@ impl std::error::Error for RestoreMismatch {}
 /// p2m2.map_contiguous(Pfn(0), &frames2)?;
 /// image.restore(&p2m2, &mut mem)?;
 /// assert_eq!(logical_digest(&p2m2, &mem), before);
+/// assert_eq!(MemoryImage::capture(&p2m2, &mem), image);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryImage {
-    pages: u64,
+    /// Mapped PFN extents `(start, count)`, as [`mapped_extents`] returns.
+    extents: Vec<(u64, u64)>,
     runs: Vec<LogicalRun>,
+    /// `(pfn, value)` in ascending PFN order.
     writes: Vec<(u64, u64)>,
 }
 
 impl MemoryImage {
     /// Captures the logical contents of the domain described by `p2m`.
+    ///
+    /// O(P2M extents + pattern runs + explicit writes): no frame is read
+    /// one by one.
     pub fn capture(p2m: &P2mTable, contents: &FrameContents) -> MemoryImage {
-        let mut runs = Vec::new();
+        let mut runs: Vec<LogicalRun> = Vec::new();
         let mut writes = Vec::new();
         for (pfn, mrange) in p2m.iter_extents() {
             for (sub, salt, base) in contents.pattern_runs(mrange) {
-                runs.push(LogicalRun {
+                let run = LogicalRun {
                     pfn: pfn.0 + (sub.start.0 - mrange.start.0),
                     count: sub.count,
                     salt,
                     base,
-                });
+                };
+                match runs.last_mut() {
+                    Some(last)
+                        if last.pfn + last.count == run.pfn
+                            && last.salt == run.salt
+                            && last.base + last.count == run.base =>
+                    {
+                        last.count += run.count
+                    }
+                    _ => runs.push(run),
+                }
             }
+            // Extents come in PFN order and writes in MFN order within
+            // one, so `writes` stays sorted by PFN.
             for (mfn, value) in contents.explicit_in(mrange) {
                 writes.push((pfn.0 + (mfn.0 - mrange.start.0), value));
             }
         }
-        writes.sort_unstable();
         MemoryImage {
-            pages: p2m.total_pages(),
+            extents: mapped_extents(p2m),
             runs,
             writes,
         }
@@ -111,13 +163,51 @@ impl MemoryImage {
 
     /// Pages the image describes.
     pub fn pages(&self) -> u64 {
-        self.pages
+        self.extents.iter().map(|&(_, count)| count).sum()
     }
 
     /// Bytes this image occupies on disk (the whole memory image, as Xen's
     /// unoptimized save writes it).
     pub fn size_bytes(&self) -> u64 {
-        self.pages * PAGE_SIZE
+        self.pages() * PAGE_SIZE
+    }
+
+    /// The [`logical_digest`] of the domain this image was captured from,
+    /// computed from the image alone.
+    pub fn digest(&self) -> u64 {
+        let mut d = DigestBuilder::new();
+        let mut runs = self.runs.iter().peekable();
+        let mut writes = self.writes.iter().peekable();
+        for &(start, count) in &self.extents {
+            let end = start + count;
+            let mut pfn = start;
+            while pfn < end {
+                if let Some(&&(at, value)) = writes.peek() {
+                    if at == pfn {
+                        d.add(pfn, Some(value));
+                        writes.next();
+                        pfn += 1;
+                        continue;
+                    }
+                }
+                while runs.next_if(|r| r.pfn + r.count <= pfn).is_some() {}
+                // Every write is at a mapped PFN at or after `pfn`.
+                let next_write = writes.peek().map_or(end, |&&(at, _)| at.min(end));
+                match runs.peek() {
+                    Some(r) if r.pfn <= pfn => {
+                        let to = next_write.min(r.pfn + r.count);
+                        d.add_pattern_run(pfn, r.salt, r.base + (pfn - r.pfn), to - pfn);
+                        pfn = to;
+                    }
+                    next => {
+                        let to = next.map_or(next_write, |r| r.pfn.min(next_write));
+                        d.add_absent_run(pfn, to - pfn);
+                        pfn = to;
+                    }
+                }
+            }
+        }
+        d.finish()
     }
 
     /// Writes the image's logical contents into the machine frames of the
@@ -125,15 +215,16 @@ impl MemoryImage {
     ///
     /// # Errors
     ///
-    /// [`RestoreMismatch`] if the target maps a different number of pages.
+    /// [`RestoreMismatch`] if the target does not map exactly the image's
+    /// PFNs; nothing is written then.
     pub fn restore(
         &self,
         target: &P2mTable,
         contents: &mut FrameContents,
     ) -> Result<(), RestoreMismatch> {
-        if target.total_pages() != self.pages {
+        if mapped_extents(target) != self.extents {
             return Err(RestoreMismatch {
-                image_pages: self.pages,
+                image_pages: self.pages(),
                 target_pages: target.total_pages(),
             });
         }
@@ -144,8 +235,8 @@ impl MemoryImage {
         for run in &self.runs {
             let machine = target
                 .resolve_range(Pfn(run.pfn), run.count)
-                // lint:allow(unwrap-panic): page counts verified equal above; capture came from a valid table
-                .expect("page counts verified equal; capture came from a valid table");
+                // lint:allow(unwrap-panic): the target maps exactly the image's PFNs (checked above)
+                .expect("the target maps exactly the image's PFNs");
             let mut offset = 0;
             for sub in machine {
                 contents.fill_pattern_with_base(sub, run.salt, run.base + offset);
@@ -155,8 +246,8 @@ impl MemoryImage {
         for &(pfn, value) in &self.writes {
             let mfn = target
                 .lookup(Pfn(pfn))
-                // lint:allow(unwrap-panic): page counts verified equal above; capture came from a valid table
-                .expect("page counts verified equal; capture came from a valid table");
+                // lint:allow(unwrap-panic): the target maps exactly the image's PFNs (checked above)
+                .expect("the target maps exactly the image's PFNs");
             contents.write(mfn, value);
         }
         Ok(())
@@ -514,6 +605,37 @@ mod tests {
         let err = image.restore(&small, &mut mem).unwrap_err();
         assert_eq!(err.image_pages, 100);
         assert_eq!(err.target_pages, 50);
+    }
+
+    #[test]
+    fn restore_rejects_a_target_with_the_same_pages_at_other_pfns() {
+        let mut ram = MachineMemory::new(1 << 16);
+        let mut mem = FrameContents::new();
+        // Source: PFNs 0–9 and 20–29.
+        let mut holed = P2mTable::new();
+        holed
+            .map_contiguous(Pfn(0), &ram.allocate(10).unwrap())
+            .unwrap();
+        holed
+            .map_contiguous(Pfn(20), &ram.allocate(10).unwrap())
+            .unwrap();
+        for r in holed.machine_ranges() {
+            mem.fill_pattern(r, 4);
+        }
+        let image = MemoryImage::capture(&holed, &mem);
+        // Target: the same 20 pages at PFNs 0–19.
+        let frames = ram.allocate(20).unwrap();
+        let mut dense = P2mTable::new();
+        dense.map_contiguous(Pfn(0), &frames).unwrap();
+        mem.fill_pattern(frames[0], 8);
+        let before = logical_digest(&dense, &mem);
+        let err = image.restore(&dense, &mut mem).unwrap_err();
+        assert_eq!((err.image_pages, err.target_pages), (20, 20));
+        assert_eq!(
+            err.to_string(),
+            "restore target maps its 20 pages at other PFNs than the image"
+        );
+        assert_eq!(logical_digest(&dense, &mem), before, "target untouched");
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! Every timing result in the paper's §5 is produced by driving this world:
 //! downtime meters record service outages, [`RebootMetrics`] records the
 //! Fig. 7 phase breakdown, the httperf client records the throughput
-//! traces, and memory digests verify (not assume!) image preservation.
+//! traces, and memory-image captures verify (not assume!) image
+//! preservation: each memory-preserving reboot captures every guest's
+//! logical image at freeze and compares a re-capture at resume, falling
+//! back to full digests only when the two captures differ.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -144,12 +147,11 @@ struct RebootRun {
     pending_stops: BTreeSet<DomainId>,
     setup_queue: VecDeque<DomainId>,
     pending_setup: BTreeSet<DomainId>,
-    digests: BTreeMap<DomainId, u64>,
-    /// Epoch stamps `(contents_epoch, p2m_epoch)` taken alongside each
-    /// frozen digest. If neither epoch-window moved over the domain's
-    /// frames by resume time, the digest is unchanged by construction and
-    /// verification can skip the O(frames) rehash (PERFORMANCE.md).
-    digest_stamps: BTreeMap<DomainId, (u64, u64)>,
+    /// Each frozen domain's memory image, captured at freeze; resume
+    /// verifies the domain against it (see `Host::verify_preserved`).
+    frozen: BTreeMap<DomainId, MemoryImage>,
+    /// Domains that resumed with memory other than their frozen image.
+    corrupted: BTreeSet<DomainId>,
     /// Domains that lost their frozen image and were (or will be) rebuilt
     /// from scratch during this run.
     cold_fallbacks: BTreeSet<DomainId>,
@@ -168,8 +170,8 @@ impl RebootRun {
             pending_stops: BTreeSet::new(),
             setup_queue: VecDeque::new(),
             pending_setup: BTreeSet::new(),
-            digests: BTreeMap::new(),
-            digest_stamps: BTreeMap::new(),
+            frozen: BTreeMap::new(),
+            corrupted: BTreeSet::new(),
             cold_fallbacks: BTreeSet::new(),
             retries: BTreeMap::new(),
         }
@@ -187,8 +189,8 @@ pub struct RebootReport {
     pub completed_at: SimTime,
     /// Per-domain service outage across this reboot.
     pub downtime: BTreeMap<DomainId, SimDuration>,
-    /// Domains whose post-reboot memory digest did not match the frozen
-    /// image (must be empty for warm and saved reboots).
+    /// Domains whose post-reboot memory did not match the image frozen at
+    /// suspend (must be empty for warm and saved reboots).
     pub corrupted: Vec<DomainId>,
     /// Domains that lost their memory image during this reboot and came
     /// back via a cold boot (driver domains on the warm path, and recovery
@@ -1203,10 +1205,7 @@ impl Host {
                 }
             };
             if frozen {
-                let digest = self.vmm.domain_digest(&dom, &self.contents);
-                run.digests.insert(id, digest);
-                run.digest_stamps
-                    .insert(id, (self.contents.epoch(), dom.p2m.epoch()));
+                run.frozen.insert(id, self.capture_frozen(&dom));
                 self.stats.inc("recovery.salvaged");
                 self.trace.emit(now, Event::Salvaged(id.into()));
             } else {
@@ -1855,15 +1854,11 @@ impl Host {
         // on_memory_suspend just succeeded, so the kernel is Suspending and
         // this transition cannot fail.
         let _ = dom.kernel.finish_suspend();
-        let digest = self.vmm.domain_digest(&dom, &self.contents);
+        let image = self.capture_frozen(&dom);
         self.trace.emit(sched.now(), Event::Frozen(id.into()));
-        if let Some(run) = self.run.as_mut() {
-            run.digests.insert(id, digest);
-            run.digest_stamps
-                .insert(id, (self.contents.epoch(), dom.p2m.epoch()));
-        }
         match strategy {
             Some(RebootStrategy::Warm) => {
+                self.run_mut().frozen.insert(id, image);
                 self.domains.insert(id, dom);
                 // The image is frozen: the classic window for a stray write
                 // or a VMM failure before the reload begins.
@@ -1882,11 +1877,11 @@ impl Host {
             Some(
                 RebootStrategy::Saved | RebootStrategy::Streamed | RebootStrategy::Incremental,
             ) => {
-                // Capture the logical image and stream it to disk. An
-                // incremental save writes only the extents dirtied since
-                // the domain's delta chain was last current (plus the
-                // exec-state record); no current chain means a full save.
-                let image = MemoryImage::capture(&dom.p2m, &self.contents);
+                // Stream the frozen image to disk. An incremental save
+                // writes only the extents dirtied since the domain's delta
+                // chain was last current (plus the exec-state record); no
+                // current chain means a full save.
+                self.run_mut().frozen.insert(id, image.clone());
                 let full_bytes = image.size_bytes();
                 let write_bytes = if strategy == Some(RebootStrategy::Incremental) {
                     let dirty = match self.delta_chains.get(&id) {
@@ -2461,35 +2456,7 @@ impl Host {
             }
         }
         self.domains.insert(id, dom);
-        // Verify preservation: digest after resume must equal the digest
-        // frozen at suspend.
-        let expected = self.run.as_ref().and_then(|r| r.digests.get(&id)).copied();
-        let stamp = self
-            .run
-            .as_ref()
-            .and_then(|r| r.digest_stamps.get(&id))
-            .copied();
-        // Digest early-out: the digest is a pure function of the P2M table
-        // and the frame contents under it. If neither moved since the
-        // freeze — the P2M epoch matches and the contents dirty-window
-        // shows no write overlapping this domain's frames — the digest is
-        // equal by construction, so skip the O(frames) rehash. Any doubt
-        // (window overflow, missing stamp) falls through to the full
-        // recompute: this is an optimization, never a trust extension.
-        let actual = match (expected, stamp, self.domains.get(&id)) {
-            (Some(frozen), Some((ce, pe)), Some(dom))
-                if dom.p2m.epoch() == pe
-                    && self.contents.unchanged_since(ce, &dom.p2m.machine_ranges()) =>
-            {
-                self.stats.inc("digest.early_out");
-                Some(frozen)
-            }
-            _ => {
-                self.stats.inc("digest.full_rehash");
-                self.domain_digest(id)
-            }
-        };
-        let corrupted = matches!((expected, actual), (Some(e), Some(a)) if e != a);
+        let corrupted = self.verify_preserved(id);
         let recovery = self.run.as_ref().map(|r| r.recovery).unwrap_or(false);
         if recovery && (failed || corrupted) {
             // Recovery invariant: a domain is never handed back corrupted.
@@ -2511,8 +2478,7 @@ impl Host {
                 self.domains.insert(id, dom);
             }
             if let Some(run) = self.run.as_mut() {
-                run.digests.remove(&id);
-                run.digest_stamps.remove(&id);
+                run.frozen.remove(&id);
                 run.cold_fallbacks.insert(id);
                 // pending_setup keeps the id: the cold boot completes it.
             }
@@ -2525,15 +2491,58 @@ impl Host {
         }
         if let Some(run) = self.run.as_mut() {
             if corrupted {
-                run.digests.insert(id, u64::MAX); // flag for the report
-            } else {
-                run.digests.remove(&id);
+                run.corrupted.insert(id);
             }
-            run.digest_stamps.remove(&id);
+            run.frozen.remove(&id);
             run.pending_setup.remove(&id);
         }
         self.refresh(sched, id);
         self.maybe_finish_reboot(sched);
+    }
+
+    /// Captures frozen domain `dom`'s memory image, the reference its
+    /// resume is verified against.
+    fn capture_frozen(&self, dom: &Domain) -> MemoryImage {
+        let image = MemoryImage::capture(&dom.p2m, &self.contents);
+        debug_assert_eq!(
+            image.digest(),
+            self.vmm.domain_digest(dom, &self.contents),
+            "{} capture disagrees with its digest",
+            dom.id
+        );
+        image
+    }
+
+    /// Checks that domain `id` resumed with the memory frozen at suspend;
+    /// returns true if it did not. A domain with no frozen image has
+    /// nothing to verify.
+    ///
+    /// Equal captures describe equal logical views, so they settle the
+    /// check in O(extents) (`digest.early_out`). Unequal captures may
+    /// still describe equal memory, so they fall back to comparing the
+    /// frozen image's digest with a full digest of the live domain
+    /// (`digest.full_rehash`). Either way the verdict is the full-digest
+    /// comparison's.
+    fn verify_preserved(&mut self, id: DomainId) -> bool {
+        let (Some(frozen), Some(dom)) = (
+            self.run.as_ref().and_then(|r| r.frozen.get(&id)),
+            self.domains.get(&id),
+        ) else {
+            return false;
+        };
+        let corrupted = if MemoryImage::capture(&dom.p2m, &self.contents) == *frozen {
+            self.stats.inc("digest.early_out");
+            false
+        } else {
+            self.stats.inc("digest.full_rehash");
+            frozen.digest() != self.vmm.domain_digest(dom, &self.contents)
+        };
+        debug_assert_eq!(
+            corrupted,
+            frozen.digest() != self.vmm.domain_digest(dom, &self.contents),
+            "{id} capture verdict disagrees with the full digests"
+        );
+        corrupted
     }
 
     fn on_dom0_shutdown_done(&mut self, sched: &mut Scheduler<HostEvent>) {
@@ -2589,12 +2598,6 @@ impl Host {
                 downtime.insert(*id, outage.duration());
             }
         }
-        let corrupted: Vec<DomainId> = run
-            .digests
-            .iter()
-            .filter(|(_, &d)| d == u64::MAX)
-            .map(|(&id, _)| id)
-            .collect();
         self.trace
             .emit(sched.now(), Event::RebootComplete(run.strategy.into()));
         self.stats
@@ -2608,7 +2611,7 @@ impl Host {
             commanded_at: run.commanded_at,
             completed_at: sched.now(),
             downtime,
-            corrupted,
+            corrupted: run.corrupted.into_iter().collect(),
             cold_booted: run.cold_fallbacks.iter().copied().collect(),
         });
     }

@@ -54,6 +54,12 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --workspace (offline)"
 cargo test -q --workspace --offline
 
+# Debug builds cross-check every resume's capture comparison against full
+# digests (PERFORMANCE.md "Digest maintenance"); release builds run the
+# comparison alone, so its tests run there too.
+echo "==> preservation tests without the debug cross-checks (release)"
+cargo test -q --release --offline -p rh-storage -p rh-vmm -p rh-faults
+
 echo "==> perfbench self-test (the benchmark builds against the public API it uses)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
