@@ -15,6 +15,11 @@
 //! * `peak_rss_bytes` — VmHWM of the benchmark process (context, not
 //!   gated).
 //!
+//! Beside the substrate rows, four end-to-end rows run whole simulators:
+//! `fleet/steady`, `fleet/campaign` and `cell/steady` per event, and
+//! `host/serve` per httperf request on the paper's booted Fig. 7 testbed
+//! (the guest page cache and the `PsResource` request path).
+//!
 //! Every workload runs at a **fixed size** regardless of profile; quick
 //! and full runs differ only in sample count, so their per-op numbers are
 //! directly comparable and the verify-time regression gate
@@ -40,14 +45,20 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rh_guest::fs::FileSet;
+use rh_guest::services::ServiceKind;
 use rh_memory::contents::FrameContents;
 use rh_memory::frame::Pfn;
 use rh_memory::machine::MachineMemory;
 use rh_memory::p2m::P2mTable;
+use rh_net::httperf::{AccessPattern, HttperfClient};
 use rh_sim::engine::{Scheduler, Simulation, World};
 use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
 use rh_sim::time::{SimDuration, SimTime};
 use rh_storage::image::logical_digest;
+use rh_vmm::config::HostConfig;
+use rh_vmm::domain::{DomainId, DomainSpec};
+use rh_vmm::harness::HostSim;
 
 /// Events per chain workload.
 const CHAIN_EVENTS: u64 = 200_000;
@@ -63,6 +74,11 @@ const DIGEST_REPS: u64 = 8;
 /// Hosts in the `fleet/steady` workload (~22k VM arrivals over its
 /// horizon; event count measured by an untimed run).
 const FLEET_HOSTS: u32 = 300;
+/// Simulated serving span of one `host/serve` sample: one serving window
+/// of perfbench's host-rejuv cycle.
+const SERVE_SPAN: SimDuration = SimDuration::from_secs(60);
+/// The web VM of the `host/serve` testbed (the first guest domain).
+const WEB: DomainId = DomainId(1);
 
 /// One timed benchmark: its best sample and the work done per sample.
 #[derive(Debug, Clone)]
@@ -258,7 +274,51 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
     // rh-cell layer's cost, dominated by real P2M map/unmap traffic.
     let cell_events = cell_steady();
     timed("cell/steady", cell_events, "events", &mut || cell_steady());
+
+    // The paper's Fig. 7 testbed serving httperf: every request crosses
+    // the guest page cache and the network `PsResource`. Building and
+    // booting the host stay outside the clock, so this row clocks its
+    // own samples. The untimed first run counts the requests.
+    let requests = host_serve().0;
+    let best = (0..samples).map(|_| host_serve().1).min();
+    results.push(CoreBenchResult {
+        name: "host/serve".to_string(),
+        ops: requests,
+        unit: "requests",
+        best_ns: best.unwrap_or(u128::MAX).max(1),
+        samples,
+    });
     results
+}
+
+/// The booted Fig. 7 testbed: the web VM with its 1 200 × 512 KB corpus
+/// warmed into its page cache, 10 ssh VMs, and a 10-client cyclic httperf
+/// attached to the web VM.
+fn serve_testbed() -> HostSim {
+    let corpus = FileSet::new(1_200, 512 * 1024);
+    let web = DomainSpec::standard("web", ServiceKind::ApacheWeb).with_files(corpus);
+    let cfg = HostConfig::paper_testbed()
+        .with_domain(web)
+        .with_vms(10, ServiceKind::Ssh)
+        .with_trace(false);
+    let mut sim = HostSim::new(cfg);
+    sim.power_on_and_wait();
+    sim.host_mut().warm_cache(WEB, corpus.files);
+    sim.attach_httperf(
+        WEB,
+        HttperfClient::new(10, corpus.files, AccessPattern::Cyclic),
+    );
+    sim
+}
+
+/// Serves [`SERVE_SPAN`] on a fresh testbed; returns the requests
+/// completed and the host nanoseconds the serving took.
+fn host_serve() -> (u64, u128) {
+    let mut sim = serve_testbed();
+    let start = Instant::now();
+    sim.run_for(SERVE_SPAN);
+    let ns = start.elapsed().as_nanos();
+    (sim.host().httperf().map_or(0, HttperfClient::completed), ns)
 }
 
 /// One deterministic campaign-free fleet run; returns events fired.
@@ -575,6 +635,7 @@ mod tests {
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));
         assert!(names.contains(&"fleet/campaign"));
+        assert!(names.contains(&"host/serve"));
         for r in &results {
             assert!(r.best_ns >= 1, "{}: zero-time sample", r.name);
             assert!(r.ops > 0, "{}: no work recorded", r.name);

@@ -9,6 +9,17 @@
 //! [`PageCache`] is an LRU cache over `(file, chunk)` keys. Chunks (default
 //! 256 KiB) bound bookkeeping while preserving the byte-level hit/miss
 //! arithmetic the throughput model needs.
+//!
+//! # Layout
+//!
+//! Every httperf request reads its file through [`PageCache::access`], so a
+//! hit is the hottest path of the paper's Fig. 7 workload. One ordered
+//! index maps each cached key to its slot in a slab of nodes, and the
+//! nodes form a doubly linked recency list (head = least recently used).
+//! A hit is one index lookup plus an O(1) relink; an insert into a full
+//! cache takes the head's slot for the new key. The index is a `BTreeMap`
+//! because the workspace is BTree-only (DESIGN.md §9); nothing iterates
+//! it, so only the lookup cost depends on that choice.
 
 use std::collections::BTreeMap;
 
@@ -23,6 +34,19 @@ pub struct ChunkKey {
 
 /// Default chunk granularity: 256 KiB.
 pub const DEFAULT_CHUNK_BYTES: u64 = 256 * 1024;
+
+/// End-of-list marker for [`Node`] links.
+const NIL: usize = usize::MAX;
+
+/// One cached chunk: its key and its neighbours in recency order.
+#[derive(Debug, Clone)]
+struct Node {
+    key: ChunkKey,
+    /// Next older node, or [`NIL`] at the head.
+    prev: usize,
+    /// Next newer node, or [`NIL`] at the tail.
+    next: usize,
+}
 
 /// An LRU page cache with byte-accurate capacity accounting.
 ///
@@ -43,9 +67,15 @@ pub const DEFAULT_CHUNK_BYTES: u64 = 256 * 1024;
 pub struct PageCache {
     capacity_bytes: u64,
     chunk_bytes: u64,
-    entries: BTreeMap<ChunkKey, u64>,
-    order: BTreeMap<u64, ChunkKey>,
-    stamp: u64,
+    /// Cached key → its slot in `nodes`.
+    index: BTreeMap<ChunkKey, usize>,
+    /// Slab of cached chunks; every slot is live (the cache never shrinks
+    /// except by [`clear`](Self::clear)), so `nodes.len()` is the count.
+    nodes: Vec<Node>,
+    /// Least recently used slot, or [`NIL`] when empty.
+    head: usize,
+    /// Most recently used slot, or [`NIL`] when empty.
+    tail: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -67,9 +97,10 @@ impl PageCache {
         PageCache {
             capacity_bytes,
             chunk_bytes,
-            entries: BTreeMap::new(),
-            order: BTreeMap::new(),
-            stamp: 0,
+            index: BTreeMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -88,17 +119,17 @@ impl PageCache {
 
     /// Bytes currently cached.
     pub fn used_bytes(&self) -> u64 {
-        self.entries.len() as u64 * self.chunk_bytes
+        self.nodes.len() as u64 * self.chunk_bytes
     }
 
     /// Cached chunk count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Hits recorded by [`access`](Self::access).
@@ -118,17 +149,14 @@ impl PageCache {
 
     /// True if `key` is cached (no LRU update, no counters).
     pub fn contains(&self, key: ChunkKey) -> bool {
-        self.entries.contains_key(&key)
+        self.index.contains_key(&key)
     }
 
     /// Looks up `key`, updating LRU order and hit/miss counters. Returns
     /// `true` on a hit.
     pub fn access(&mut self, key: ChunkKey) -> bool {
-        if let Some(&old) = self.entries.get(&key) {
-            self.order.remove(&old);
-            self.stamp += 1;
-            self.entries.insert(key, self.stamp);
-            self.order.insert(self.stamp, key);
+        if let Some(&slot) = self.index.get(&key) {
+            self.touch(slot);
             self.hits += 1;
             true
         } else {
@@ -137,33 +165,43 @@ impl PageCache {
         }
     }
 
-    /// Inserts `key` as most-recently-used, evicting LRU chunks if needed.
-    /// Inserting an existing key just refreshes it.
+    /// Inserts `key` as most-recently-used, evicting the LRU chunk if the
+    /// cache is full. Inserting an existing key just refreshes it.
     pub fn insert(&mut self, key: ChunkKey) {
-        if let Some(&old) = self.entries.get(&key) {
-            self.order.remove(&old);
-        } else {
-            while self.used_bytes() + self.chunk_bytes > self.capacity_bytes {
-                match self.order.iter().next().map(|(&s, &k)| (s, k)) {
-                    Some((s, k)) => {
-                        self.order.remove(&s);
-                        self.entries.remove(&k);
-                        self.evictions += 1;
-                    }
-                    None => return, // capacity smaller than one chunk
-                }
-            }
+        if let Some(&slot) = self.index.get(&key) {
+            self.touch(slot);
+            return;
         }
-        self.stamp += 1;
-        self.entries.insert(key, self.stamp);
-        self.order.insert(self.stamp, key);
+        let slot = if self.used_bytes() + self.chunk_bytes <= self.capacity_bytes {
+            self.nodes.push(Node {
+                key,
+                prev: NIL,
+                next: NIL,
+            });
+            self.nodes.len() - 1
+        } else if self.head != NIL {
+            // Full: at most one chunk leaves, since the cache never holds
+            // more than fits. Its slot takes the new key.
+            let slot = self.head;
+            self.unlink(slot);
+            let old = std::mem::replace(&mut self.nodes[slot].key, key);
+            self.index.remove(&old);
+            self.evictions += 1;
+            slot
+        } else {
+            return; // capacity smaller than one chunk
+        };
+        self.index.insert(key, slot);
+        self.push_tail(slot);
     }
 
     /// Empties the cache — what a guest OS reboot does. Counters persist so
     /// experiments can report totals across a reboot.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.index.clear();
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Fraction of accesses that hit, or `None` before any access.
@@ -175,6 +213,38 @@ impl PageCache {
             Some(self.hits as f64 / total as f64)
         }
     }
+
+    /// Makes a linked `slot` the most recently used.
+    fn touch(&mut self, slot: usize) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.push_tail(slot);
+        }
+    }
+
+    /// Detaches a linked `slot` from the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Node { prev, next, .. } = self.nodes[slot];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n].prev = prev,
+        }
+    }
+
+    /// Links a detached `slot` in as the most recently used.
+    fn push_tail(&mut self, slot: usize) {
+        self.nodes[slot].prev = self.tail;
+        self.nodes[slot].next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.nodes[t].next = slot,
+        }
+        self.tail = slot;
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +253,23 @@ mod tests {
 
     fn key(file: u32, chunk: u32) -> ChunkKey {
         ChunkKey { file, chunk }
+    }
+
+    /// The cached keys from least to most recently used, walking the
+    /// recency list and checking its back links and the index on the way.
+    fn lru_order(c: &PageCache) -> Vec<ChunkKey> {
+        let mut keys = Vec::new();
+        let (mut slot, mut prev) = (c.head, NIL);
+        while slot != NIL {
+            let node = &c.nodes[slot];
+            assert_eq!(node.prev, prev, "broken back link at slot {slot}");
+            assert_eq!(c.index.get(&node.key), Some(&slot));
+            keys.push(node.key);
+            (prev, slot) = (slot, node.next);
+        }
+        assert_eq!(c.tail, prev);
+        assert_eq!(keys.len(), c.index.len());
+        keys
     }
 
     #[test]
@@ -260,8 +347,7 @@ mod tests {
                     c.insert(k);
                 }
             }
-            let keys: Vec<ChunkKey> = c.entries.keys().copied().collect();
-            (keys, c.hits(), c.misses(), c.evictions())
+            (lru_order(&c), c.hits(), c.misses(), c.evictions())
         };
         assert_eq!(run(), run());
     }

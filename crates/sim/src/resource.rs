@@ -25,8 +25,17 @@
 //! As long as the world wakes at every reported completion time, job rates
 //! are piecewise-constant between calls and the simulation is exact (up to
 //! microsecond rounding).
+//!
+//! # Layout
+//!
+//! Every httperf request and every disk read of the paper's testbed passes
+//! through a `PsResource`, and each mutation advances every job in
+//! service. Jobs therefore live in one `Vec` in id order: ids are issued
+//! ascending, so a submit appends, a cancel is a binary search, and
+//! [`advance`](PsResource::advance) is one pass that allocates nothing
+//! and looks nothing up. Every floating-point sum runs in id order, so
+//! results do not depend on how the jobs are stored.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::engine::{EventHandle, Scheduler};
@@ -47,6 +56,25 @@ impl fmt::Display for JobId {
 struct Job {
     remaining: f64,
     weight: f64,
+}
+
+/// The rate inputs every job in service shares at one instant.
+#[derive(Debug, Clone, Copy)]
+struct Shares {
+    total_weight: f64,
+    /// Aggregate capacity at the current concurrency.
+    capacity: f64,
+    per_job_cap: Option<f64>,
+}
+
+impl Shares {
+    fn rate(self, job: &Job) -> f64 {
+        let share = job.weight / self.total_weight * self.capacity;
+        match self.per_job_cap {
+            Some(cap) => share.min(cap),
+            None => share,
+        }
+    }
 }
 
 /// A processor-sharing resource with optional per-job rate caps and a
@@ -77,7 +105,8 @@ pub struct PsResource {
     capacity: f64,
     per_job_cap: Option<f64>,
     contention_penalty: f64,
-    jobs: BTreeMap<u64, Job>,
+    /// Jobs in service, ascending by id.
+    jobs: Vec<(u64, Job)>,
     last_update: SimTime,
     next_id: u64,
     total_completed_work: f64,
@@ -98,7 +127,7 @@ impl PsResource {
             capacity,
             per_job_cap: None,
             contention_penalty: 0.0,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
             last_update: SimTime::ZERO,
             next_id: 0,
             total_completed_work: 0.0,
@@ -170,14 +199,20 @@ impl PsResource {
 
     /// Remaining work of a job, or `None` if unknown/finished.
     pub fn remaining(&self, id: JobId) -> Option<f64> {
-        self.jobs.get(&id.0).map(|j| j.remaining)
+        self.position(id).map(|i| self.jobs[i].1.remaining)
     }
 
-    fn rate_of(&self, job: &Job, total_weight: f64, n: usize) -> f64 {
-        let share = job.weight / total_weight * self.effective_capacity(n);
-        match self.per_job_cap {
-            Some(cap) => share.min(cap),
-            None => share,
+    /// Index of job `id` in `jobs`, if it is in service.
+    fn position(&self, id: JobId) -> Option<usize> {
+        self.jobs.binary_search_by_key(&id.0, |&(k, _)| k).ok()
+    }
+
+    /// What the rate of every job in service depends on besides its weight.
+    fn shares(&self) -> Shares {
+        Shares {
+            total_weight: self.jobs.iter().map(|(_, j)| j.weight).sum(),
+            capacity: self.effective_capacity(self.jobs.len()),
+            per_job_cap: self.per_job_cap,
         }
     }
 
@@ -201,17 +236,9 @@ impl PsResource {
         if elapsed == 0.0 || self.jobs.is_empty() {
             return;
         }
-        let n = self.jobs.len();
-        let total_weight: f64 = self.jobs.values().map(|j| j.weight).sum();
-        let rates: Vec<(u64, f64)> = self
-            .jobs
-            .iter()
-            .map(|(&id, j)| (id, self.rate_of(j, total_weight, n)))
-            .collect();
-        for (id, rate) in rates {
-            let Some(job) = self.jobs.get_mut(&id) else {
-                continue; // unreachable: ids were collected from this map above
-            };
+        let shares = self.shares();
+        for (_, job) in &mut self.jobs {
+            let rate = shares.rate(job);
             let delta = rate * elapsed;
             // Absorb microsecond rounding: anything within 2 µs of service
             // at the current rate counts as complete.
@@ -249,13 +276,14 @@ impl PsResource {
         self.advance(now);
         let id = self.next_id;
         self.next_id += 1;
-        self.jobs.insert(
+        // Ids ascend, so appending keeps `jobs` sorted.
+        self.jobs.push((
             id,
             Job {
                 remaining: work,
                 weight,
             },
-        );
+        ));
         JobId(id)
     }
 
@@ -263,32 +291,30 @@ impl PsResource {
     /// completed or never existed.
     pub fn cancel(&mut self, now: SimTime, id: JobId) -> Option<f64> {
         self.advance(now);
-        self.jobs.remove(&id.0).map(|j| j.remaining)
+        let i = self.position(id)?;
+        Some(self.jobs.remove(i).1.remaining)
     }
 
     /// Aborts every job in service, returning their ids.
     pub fn cancel_all(&mut self, now: SimTime) -> Vec<JobId> {
         self.advance(now);
-        let ids: Vec<JobId> = self.jobs.keys().map(|&k| JobId(k)).collect();
-        self.jobs.clear();
-        ids
+        self.jobs.drain(..).map(|(id, _)| JobId(id)).collect()
     }
 
     /// Advances to `now` and removes every finished job, returning their ids
     /// in submission order.
     pub fn take_completed(&mut self, now: SimTime) -> Vec<JobId> {
         self.advance(now);
-        let done: Vec<u64> = self
-            .jobs
-            .iter()
+        let mut done = Vec::new();
+        self.jobs.retain(|&(id, ref job)| {
             // lint:allow(float-eq): `advance` assigns exactly 0.0 at completion
-            .filter(|(_, j)| j.remaining == 0.0)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &done {
-            self.jobs.remove(id);
-        }
-        done.into_iter().map(JobId).collect()
+            let finished = job.remaining == 0.0;
+            if finished {
+                done.push(JobId(id));
+            }
+            !finished
+        });
+        done
     }
 
     /// The earliest instant at which some job will finish, assuming no
@@ -302,11 +328,10 @@ impl PsResource {
         }
         debug_assert!(now >= self.last_update);
         let base = (now - self.last_update).as_secs_f64();
-        let n = self.jobs.len();
-        let total_weight: f64 = self.jobs.values().map(|j| j.weight).sum();
+        let shares = self.shares();
         let mut best = f64::INFINITY;
-        for job in self.jobs.values() {
-            let rate = self.rate_of(job, total_weight, n);
+        for (_, job) in &self.jobs {
+            let rate = shares.rate(job);
             let left = (job.remaining - rate * base).max(0.0);
             let t = left / rate;
             if t < best {

@@ -229,6 +229,37 @@ mod tests {
     use rh_guest::services::ServiceKind;
 
     #[test]
+    fn httperf_against_a_domain_without_files_is_an_error_not_a_stall() {
+        // Regression: the kick drew a request (counting it in flight)
+        // before finding that the target has no files, so the request was
+        // stranded forever and the run reported zero throughput silently.
+        use crate::vmm::VmmError;
+        use rh_net::httperf::{AccessPattern, HttperfClient};
+
+        let ssh = DomainId(1);
+        let mut sim = booted_host(2, ServiceKind::Ssh);
+        sim.attach_httperf(ssh, HttperfClient::new(10, 100, AccessPattern::Cyclic));
+        sim.run_for(SimDuration::from_secs(10));
+        // The kick fires again when the service comes back up.
+        sim.reboot_and_wait(RebootStrategy::Warm);
+        sim.run_for(SimDuration::from_secs(10));
+
+        let client = sim.host().httperf().expect("still attached");
+        assert_eq!(
+            (client.issued(), client.in_flight(), client.completed()),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            sim.host().errors(),
+            &[VmmError::BadDomainState(ssh, "serve httperf without files")]
+        );
+        assert_eq!(
+            sim.host().errors()[0].to_string(),
+            "vmm: domU1 cannot serve httperf without files"
+        );
+    }
+
+    #[test]
     fn crash_landing_mid_warm_reboot_cancels_the_stale_run() {
         // Regression: a VMM crash arriving while a warm reboot is in
         // flight used to trip an assertion (and could leave the host

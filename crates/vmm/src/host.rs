@@ -1345,6 +1345,11 @@ impl Host {
 
     /// Attaches an httperf fleet to `target`.
     ///
+    /// The target must serve files. Against a domain without a file set
+    /// the fleet issues no request, and the host reports a
+    /// [`VmmError::BadDomainState`] in [`errors`](Self::errors) once the
+    /// target is up.
+    ///
     /// # Panics
     ///
     /// Panics if a fleet is already attached.
@@ -2628,6 +2633,16 @@ impl Host {
         if !self.observable_up(target) {
             return;
         }
+        // Check before drawing a request: the client counts every request
+        // it draws as in flight, and one with no file to read would never
+        // complete.
+        let Some(fs) = self.domains.get(&target).and_then(|d| d.fs.clone()) else {
+            let err = VmmError::BadDomainState(target, "serve httperf without files");
+            if !self.errors.contains(&err) {
+                self.errors.push(err);
+            }
+            return;
+        };
         loop {
             let Some((_, client)) = self.httperf.as_mut() else {
                 return;
@@ -2639,10 +2654,7 @@ impl Host {
             self.next_req += 1;
             let os_slow = self.aging_slowdown(target, now);
             let Some(dom) = self.domains.get_mut(&target) else {
-                break;
-            };
-            let Some(fs) = dom.fs.as_ref().cloned() else {
-                break;
+                break; // unreachable: the file check above found the domain
             };
             let plan = fs.plan_read(&mut dom.cache, file);
             let bytes = plan.total_bytes();

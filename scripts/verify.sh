@@ -63,6 +63,21 @@ cargo test -q --release --offline -p rh-storage -p rh-vmm -p rh-faults
 echo "==> perfbench self-test (the benchmark builds against the public API it uses)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench fingerprints at full scale (seed 2007)"
+# The self-test runs at --tiny, where no fingerprint is pinned. At full
+# scale each workload's simulated outputs must match the fingerprint
+# perfbench pins for seed 2007, or its last line reads "correct": false.
+for workload in host-rejuv fleet-campaign cell-churn; do
+    if ! cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 2007 --seconds 0 --trace 0 \
+        > "$smoke_dir/perfbench.txt" ||
+        ! tail -n 1 "$smoke_dir/perfbench.txt" | grep -q '"correct": true'; then
+        echo "FAIL: perfbench $workload at seed 2007 is not correct" >&2
+        cat "$smoke_dir/perfbench.txt" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo doc --workspace --no-deps (offline, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

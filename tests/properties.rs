@@ -250,41 +250,84 @@ fn rejuvenation_plans_satisfy_constraints() {
 }
 
 /// The LRU page cache agrees with a naive reference model under
-/// arbitrary access/insert interleavings.
+/// arbitrary access/insert/clear interleavings, at capacities from none
+/// (including one smaller than a chunk) to 20 chunks and key ranges from
+/// a handful to a few thousand chunks.
 #[test]
 fn page_cache_matches_reference_lru() {
     check(
         "page_cache_matches_reference_lru",
         &Config::default(),
         |g: &mut Gen| {
-            let ops = g.vec_of(1, 200, |g| (g.u32_in(0, 6), g.u32_in(0, 12), g.any_bool()));
             use roothammer::guest::pagecache::{ChunkKey, PageCache};
-            let capacity_chunks = 8usize;
-            let mut cache = PageCache::with_chunk_size(capacity_chunks as u64 * 1024, 1024);
+            const CHUNK: u64 = 1024;
+            // Whole chunks plus, half the time, a fraction of one that
+            // must go unused.
+            let capacity_chunks = g.usize_in(0, 21);
+            let slack = if g.any_bool() { g.u64_in(1, CHUNK) } else { 0 };
+            let mut cache =
+                PageCache::with_chunk_size(capacity_chunks as u64 * CHUNK + slack, CHUNK);
+            let (files, chunks) = (g.u32_in(1, 64), g.u32_in(1, 48));
+            // 0 = clear, 1..=19 = insert, 20..40 = access.
+            let ops = g.vec_of(1, 300, |g| {
+                (g.u32_in(0, 40), g.u32_in(0, files), g.u32_in(0, chunks))
+            });
             // Reference: Vec kept in LRU order (front = oldest).
             let mut model: Vec<ChunkKey> = Vec::new();
-            for (file, chunk, is_insert) in ops {
+            let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+            for (op, file, chunk) in ops {
                 let key = ChunkKey { file, chunk };
-                if is_insert {
-                    cache.insert(key);
-                    model.retain(|k| *k != key);
-                    model.push(key);
-                    if model.len() > capacity_chunks {
-                        model.remove(0);
+                let cached = model.contains(&key);
+                match op {
+                    0 => {
+                        cache.clear();
+                        model.clear();
                     }
-                } else {
-                    let hit = cache.access(key);
-                    let model_hit = model.contains(&key);
-                    prop_ensure_eq!(hit, model_hit, "access {:?}", key);
-                    if model_hit {
-                        model.retain(|k| *k != key);
-                        model.push(key);
+                    1..=19 => {
+                        cache.insert(key);
+                        if cached || capacity_chunks > 0 {
+                            model.retain(|k| *k != key);
+                            if model.len() == capacity_chunks {
+                                model.remove(0);
+                                evictions += 1;
+                            }
+                            model.push(key);
+                        }
+                    }
+                    _ => {
+                        prop_ensure_eq!(cache.access(key), cached, "access {:?}", key);
+                        if cached {
+                            hits += 1;
+                            model.retain(|k| *k != key);
+                            model.push(key);
+                        } else {
+                            misses += 1;
+                        }
                     }
                 }
                 prop_ensure_eq!(cache.len(), model.len());
+                prop_ensure_eq!(cache.used_bytes(), model.len() as u64 * CHUNK);
+                prop_ensure_eq!(
+                    (cache.hits(), cache.misses(), cache.evictions()),
+                    (hits, misses, evictions)
+                );
                 for k in &model {
                     prop_ensure!(cache.contains(*k), "model has {:?} but cache lost it", k);
                 }
+            }
+            // The survivors leave in LRU order: once the cache is full,
+            // each fresh key evicts the oldest of them.
+            let fresh = |i: usize| ChunkKey {
+                file: files,
+                chunk: i as u32,
+            };
+            for i in model.len()..capacity_chunks {
+                cache.insert(fresh(i));
+            }
+            for (i, k) in model.iter().enumerate() {
+                prop_ensure!(cache.contains(*k), "{:?} left too early", k);
+                cache.insert(fresh(capacity_chunks + i));
+                prop_ensure!(!cache.contains(*k), "{:?} outlived a newer chunk", k);
             }
             Ok(())
         },
