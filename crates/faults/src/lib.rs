@@ -26,7 +26,7 @@
 //! use rh_faults::recovery::{watch_and_recover, RecoveryConfig, RecoveryPolicy};
 //! use rh_guest::services::ServiceKind;
 //! use rh_vmm::harness::booted_host;
-//! use rh_vmm::InjectPoint;
+//! use rh_vmm::{InjectPoint, RebootStrategy};
 //!
 //! let mut sim = booted_host(3, ServiceKind::Ssh);
 //! // The VMM dies the moment the second guest's image is frozen.
@@ -38,7 +38,7 @@
 //! sim.host_mut().arm_fault_hook(Box::new(rh_faults::inject::Injector::new(&plan)));
 //! {
 //!     let (host, sched) = sim.simulation_mut().parts_mut();
-//!     host.warm_reboot(sched); // never completes: the fault fires first
+//!     host.reboot(sched, RebootStrategy::Warm); // never completes: the fault fires first
 //! }
 //! let report = watch_and_recover(&mut sim, &RecoveryConfig::new(RecoveryPolicy::Microreboot))
 //!     .expect("incident recovered");

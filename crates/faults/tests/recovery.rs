@@ -23,7 +23,7 @@ fn run_incident(
     sim.host_mut().arm_fault_hook(Box::new(Injector::new(plan)));
     {
         let (host, sched) = sim.simulation_mut().parts_mut();
-        host.warm_reboot(sched);
+        host.reboot(sched, RebootStrategy::Warm);
     }
     let report = watch_and_recover(&mut sim, &RecoveryConfig::new(policy));
     (sim, report)
@@ -85,7 +85,7 @@ fn microreboot_salvages_frozen_domains_with_state_intact() {
         .arm_fault_hook(Box::new(Injector::new(&plan)));
     {
         let (host, sched) = sim.simulation_mut().parts_mut();
-        host.warm_reboot(sched);
+        host.reboot(sched, RebootStrategy::Warm);
     }
     let report = watch_and_recover(&mut sim, &RecoveryConfig::new(RecoveryPolicy::Microreboot))
         .expect("the crash is detected and recovered");
@@ -224,7 +224,7 @@ fn injected_resume_failure_falls_back_without_leaking_channels() {
         .arm_fault_hook(Box::new(Injector::new(&plan)));
     {
         let (host, sched) = sim.simulation_mut().parts_mut();
-        host.warm_reboot(sched);
+        host.reboot(sched, RebootStrategy::Warm);
     }
     let report = watch_and_recover(&mut sim, &RecoveryConfig::new(RecoveryPolicy::Microreboot))
         .expect("recovered");
@@ -312,7 +312,7 @@ fn crash_mid_stream_recovers_and_the_next_streamed_reboot_is_clean() {
         .arm_fault_hook(Box::new(Injector::new(&plan)));
     {
         let (host, sched) = sim.simulation_mut().parts_mut();
-        host.streamed_reboot(sched);
+        host.reboot(sched, RebootStrategy::Streamed);
     }
     let report = watch_and_recover(&mut sim, &RecoveryConfig::new(RecoveryPolicy::Microreboot))
         .expect("the mid-stream crash is detected and recovered");
@@ -466,7 +466,7 @@ fn ballooned_domain_survives_vmm_crash_and_deflates_after_recovery() {
         .arm_fault_hook(Box::new(Injector::new(&plan)));
     {
         let (host, sched) = sim.simulation_mut().parts_mut();
-        host.warm_reboot(sched);
+        host.reboot(sched, RebootStrategy::Warm);
     }
     let report = watch_and_recover(&mut sim, &RecoveryConfig::new(RecoveryPolicy::Microreboot))
         .expect("the crash is detected and recovered");

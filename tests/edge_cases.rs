@@ -28,8 +28,8 @@ fn empty_host_reboots_cleanly() {
 fn overlapping_reboots_are_rejected() {
     let mut sim = booted_host(1, ServiceKind::Ssh);
     let (host, sched) = sim.simulation_mut().parts_mut();
-    host.warm_reboot(sched);
-    host.cold_reboot(sched);
+    host.reboot(sched, RebootStrategy::Warm);
+    host.reboot(sched, RebootStrategy::Cold);
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn file_read_on_suspended_domain_is_rejected() {
     // Catch the panic from reading on a not-running domain via a guard.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let (host, sched) = sim.simulation_mut().parts_mut();
-        host.warm_reboot(sched);
+        host.reboot(sched, RebootStrategy::Warm);
         // Domain is still running here (dom0 shutting down): fast-forward
         // into the suspended phase.
         let _ = (host, sched);
