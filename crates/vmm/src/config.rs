@@ -5,6 +5,7 @@
 //! experiments (and our ablations) turn.
 
 use rh_guest::services::ServiceKind;
+use rh_obs::Phase;
 use rh_sim::time::SimDuration;
 
 use crate::domain::DomainSpec;
@@ -12,7 +13,8 @@ use crate::timing::TimingParams;
 
 /// The VMM rejuvenation strategies: the paper's three plus two
 /// disk-image refinements (streamed post-copy restore and incremental
-/// delta saves).
+/// delta saves). Each is one point on three axes (image, reload,
+/// resume), tabulated in the [`host`](crate::host) module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RebootStrategy {
     /// The paper's warm-VM reboot: on-memory suspend + quick reload.
@@ -39,6 +41,101 @@ impl RebootStrategy {
         RebootStrategy::Streamed,
         RebootStrategy::Incremental,
     ];
+
+    /// Where this strategy keeps each guest's memory image.
+    pub(crate) const fn image(self) -> Image {
+        match self {
+            Self::Warm => Image::InPlace,
+            Self::Saved | Self::Streamed => Image::DiskFull,
+            Self::Incremental => Image::DiskDelta,
+            Self::Cold => Image::Dropped,
+        }
+    }
+
+    /// How this strategy restarts the VMM.
+    pub(crate) const fn reload(self) -> Reload {
+        match self {
+            Self::Warm => Reload::Quick,
+            Self::Saved | Self::Cold | Self::Streamed | Self::Incremental => Reload::Reset,
+        }
+    }
+
+    /// How this strategy brings each guest back once dom0 is up.
+    pub(crate) const fn resume(self) -> Resume {
+        match self {
+            Self::Warm => Resume::Attach,
+            Self::Saved | Self::Incremental => Resume::Restore,
+            Self::Streamed => Resume::StreamIn,
+            Self::Cold => Resume::Boot,
+        }
+    }
+}
+
+/// Where a guest's memory image goes across the VMM reboot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Image {
+    /// Suspended on memory: the frames stay in place through the reload.
+    InPlace,
+    /// Suspended and written to disk in full.
+    DiskFull,
+    /// Suspended and written to disk as the extents dirtied since the
+    /// last delta snapshot (in full when there is none).
+    DiskDelta,
+    /// Dropped: the guest shuts down.
+    Dropped,
+}
+
+impl Image {
+    /// True when the image is parked on disk. Dom0 then suspends and
+    /// saves the guests while it is still up, and shuts down after the
+    /// saves (original Xen); otherwise dom0 shuts down first.
+    pub(crate) const fn on_disk(self) -> bool {
+        matches!(self, Image::DiskFull | Image::DiskDelta)
+    }
+}
+
+/// How the VMM restarts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reload {
+    /// xexec quick reload of a staged VMM, skipping the hardware reset and
+    /// the frozen memory (§4.1).
+    Quick,
+    /// Hardware reset (BIOS POST, SCSI init), then a VMM boot.
+    Reset,
+}
+
+/// How a guest comes back once dom0 is up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resume {
+    /// Resume the image frozen in place.
+    Attach,
+    /// Read the saved image back in full, then resume.
+    Restore,
+    /// Read the saved image's working set, resume, and stream the rest
+    /// in behind the running guest (post-copy).
+    StreamIn,
+    /// Create and boot a fresh guest, then start its service.
+    Boot,
+}
+
+impl Resume {
+    /// The Fig. 7 span that opens when dom0 is up and closes when the last
+    /// domain is back.
+    pub(crate) const fn phase(self) -> Phase {
+        match self {
+            Resume::Attach => Phase::Resume,
+            Resume::Restore | Resume::StreamIn => Phase::Restore,
+            Resume::Boot => Phase::GuestBoot,
+        }
+    }
+
+    /// True when domains are set up one at a time. Xen's `xm restore`
+    /// streams one image back at a time, so the next restore starts only
+    /// after this one's (foreground) disk read completes; resumes and
+    /// boots are dom0-serialized but their in-guest work overlaps.
+    pub(crate) const fn serial(self) -> bool {
+        matches!(self, Resume::Restore | Resume::StreamIn)
+    }
 }
 
 impl std::fmt::Display for RebootStrategy {
