@@ -100,3 +100,91 @@ fn cold_burst_pays_the_queue_and_pins_its_own_goldens() {
     assert!(balloon.p99() < r.p99());
     assert!(balloon.rejected < r.rejected);
 }
+
+/// FNV-1a-64 of a rendered stream: one number that pins every byte.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The message shapes a cell stream may contain, in the order
+/// [`shape_counts`] reports them.
+const SHAPES: [&str; 7] = [
+    "rejected at cap",
+    "queued for frames",
+    "parked warm",
+    "departed",
+    "warm start",
+    "cold start",
+    "reclaimed",
+];
+
+/// Lines per message shape, indexed like [`SHAPES`]. Panics on a line
+/// that is not a cell note of a known shape.
+fn shape_counts(stream: &str) -> [usize; 7] {
+    let mut counts = [0; 7];
+    for line in stream.lines() {
+        let (_, msg) = line
+            .split_once("] cell     ")
+            .unwrap_or_else(|| panic!("not a cell note: {line}"));
+        let shape = if msg.starts_with("reclaimed ") && msg.contains(" pages for vm") {
+            "reclaimed"
+        } else {
+            let rest = msg
+                .strip_prefix("vm")
+                .map(|m| m.trim_start_matches(|c: char| c.is_ascii_digit()))
+                .and_then(|m| m.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("unknown note shape: {line}"));
+            match rest.split_once(" latency=") {
+                Some((kind @ ("warm start" | "cold start"), _)) => kind,
+                _ => rest,
+            }
+        };
+        let i = SHAPES
+            .iter()
+            .position(|s| *s == shape)
+            .unwrap_or_else(|| panic!("unknown note shape: {line}"));
+        counts[i] += 1;
+    }
+    counts
+}
+
+#[test]
+fn every_burst_stream_is_pinned_by_digest_and_shape() {
+    // (strategy, FNV-1a-64 of the full render, lines per shape in SHAPES
+    // order: rejected, queued, parked, departed, warm, cold, reclaimed).
+    let pins = [
+        (
+            ProvisionStrategy::Cold,
+            0x6f78_50a9_5565_91ec,
+            [108, 76, 0, 95, 0, 95, 0],
+        ),
+        (
+            ProvisionStrategy::Warm,
+            0xc20c_04fa_bf49_f505,
+            [106, 78, 85, 12, 81, 16, 0],
+        ),
+        (
+            ProvisionStrategy::BalloonReclaim,
+            0x3da1_3ec2_a7c7_b57f,
+            [71, 0, 111, 21, 107, 25, 9],
+        ),
+    ];
+    for (strategy, digest, counts) in pins {
+        let (r, stream) = burst_run(strategy);
+        let got = shape_counts(&stream);
+        assert_eq!(
+            (fnv1a64(&stream), got),
+            (digest, counts),
+            "{strategy} burst stream drifted (digest {:#018x})",
+            fnv1a64(&stream)
+        );
+        // The shapes account for the ledger line by line.
+        assert_eq!(got[0] as u64, r.rejected, "{strategy}");
+        assert_eq!(got[1] as u64, r.queued, "{strategy}");
+        assert_eq!((got[2] + got[3]) as u64, r.completed, "{strategy}");
+        assert_eq!(got[4] as u64, r.warm_hits, "{strategy}");
+        assert_eq!(got[5] as u64, r.cold_boots, "{strategy}");
+    }
+}
