@@ -59,7 +59,8 @@ pub struct CellPoint {
     pub utilization: f64,
     /// Pages squeezed out of running guests under pressure.
     pub reclaimed_pages: u64,
-    /// Parked warm images evicted to free frames.
+    /// Parked warm images evicted to free frames (always 0, see
+    /// [`rh_cell::CellReport::evicted`]).
     pub evicted: u64,
 }
 

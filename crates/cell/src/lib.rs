@@ -16,8 +16,12 @@
 //! | strategy  | on departure       | on pressure                       |
 //! |-----------|--------------------|-----------------------------------|
 //! | `cold`    | free the image     | queue arrivals until frames free  |
-//! | `warm`    | park image frozen  | evict parked images, then queue   |
-//! | `balloon` | park image frozen  | evict, then squeeze running VMs   |
+//! | `warm`    | park image frozen  | queue arrivals until frames free  |
+//! | `balloon` | park image frozen  | squeeze running VMs               |
+//!
+//! An arrival revives a parked image whenever the pool holds one, so the
+//! pool is empty whenever the host runs short of frames: pressure never
+//! finds a parked image to evict.
 //!
 //! The cell measures cold-start latency P50/P99 (via
 //! [`rh_obs::LatencyHistogram`]), memory utilization, and rejuvenation

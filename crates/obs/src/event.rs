@@ -2,13 +2,18 @@
 //!
 //! Every observable occurrence in the simulated testbed — reboot phase
 //! transitions, suspend/resume hypercalls per domain, fault injections,
-//! recovery incidents, cluster hosts going up and down — is an [`Event`]
-//! variant. [`Event::category`] and [`Event::message`] render each one as
-//! the `(category, message)` text pair the trace format has always
-//! printed; one-off annotations without a variant of their own travel as
-//! [`Event::Note`].
+//! recovery incidents, cluster hosts going up and down, serverless-cell
+//! arrivals, starts and departures — is an [`Event`] variant.
+//! [`Event::category`] and [`Event::message`] render each one as the
+//! `(category, message)` text pair the trace format has always printed;
+//! one-off annotations without a variant of their own travel as
+//! [`Event::Note`]. Only a `Note` owns heap data, so a disabled
+//! [`EventLog`](crate::EventLog) drops any other variant without having
+//! allocated for it.
 
 use std::fmt;
+
+use rh_sim::time::SimDuration;
 
 use crate::phase::Phase;
 
@@ -89,7 +94,7 @@ pub enum RecoveryKind {
 /// One typed observable occurrence.
 ///
 /// `category()` and `message()` render the trace text byte-for-byte.
-/// Computed messages that embed measurements or error text (e.g. the
+/// Messages that embed error text or a one-off summary (e.g. the
 /// quick-reload size summary) stay free-form as [`Event::Note`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
@@ -228,6 +233,45 @@ pub enum Event {
         host: u32,
     },
 
+    // --- serverless cell ------------------------------------------------
+    /// An arrival was dropped at the cell's admission cap.
+    CellRejected {
+        /// The arriving microVM.
+        vm: u64,
+    },
+    /// An arrival is waiting for a departure to free frames.
+    CellQueued {
+        /// The waiting microVM.
+        vm: u64,
+    },
+    /// A departing microVM parked in the warm pool, its image frozen in
+    /// place.
+    CellParked {
+        /// The parked microVM.
+        vm: u64,
+    },
+    /// A departing microVM released its frames.
+    CellDeparted {
+        /// The departed microVM.
+        vm: u64,
+    },
+    /// A microVM started, stamped at boot completion.
+    CellStarted {
+        /// The started microVM.
+        vm: u64,
+        /// Revived from the warm pool (else built cold).
+        warm: bool,
+        /// Cold-start latency: queue wait plus provisioning work.
+        latency: SimDuration,
+    },
+    /// Balloon reclaim squeezed running microVMs to make room for one.
+    CellReclaimed {
+        /// The microVM the frames were taken for.
+        vm: u64,
+        /// Pages taken, over all squeezed VMs.
+        pages: u64,
+    },
+
     // --- escape hatch ---------------------------------------------------
     /// A free-form entry that has no typed variant (computed
     /// measurements, error text), kept verbatim.
@@ -293,6 +337,12 @@ impl Event {
             | Event::ExecStateLost(_) => "fault",
             Event::PhaseBegin(_) | Event::PhaseEnd(_) => "phase",
             Event::HostUp { .. } | Event::HostDown { .. } => "cluster",
+            Event::CellRejected { .. }
+            | Event::CellQueued { .. }
+            | Event::CellParked { .. }
+            | Event::CellDeparted { .. }
+            | Event::CellStarted { .. }
+            | Event::CellReclaimed { .. } => "cell",
             Event::Note { category, .. } => category,
         }
     }
@@ -358,6 +408,15 @@ impl Event {
             Event::PhaseEnd(p) => format!("end {p}"),
             Event::HostUp { host } => format!("host {host} up"),
             Event::HostDown { host } => format!("host {host} down"),
+            Event::CellRejected { vm } => format!("vm{vm} rejected at cap"),
+            Event::CellQueued { vm } => format!("vm{vm} queued for frames"),
+            Event::CellParked { vm } => format!("vm{vm} parked warm"),
+            Event::CellDeparted { vm } => format!("vm{vm} departed"),
+            Event::CellStarted { vm, warm, latency } => {
+                let kind = if *warm { "warm" } else { "cold" };
+                format!("vm{vm} {kind} start latency={latency}")
+            }
+            Event::CellReclaimed { vm, pages } => format!("reclaimed {pages} pages for vm{vm}"),
             Event::Note { message, .. } => message.clone(),
         }
     }
@@ -409,6 +468,12 @@ impl Event {
             Event::PhaseEnd(_) => "PhaseEnd",
             Event::HostUp { .. } => "HostUp",
             Event::HostDown { .. } => "HostDown",
+            Event::CellRejected { .. } => "CellRejected",
+            Event::CellQueued { .. } => "CellQueued",
+            Event::CellParked { .. } => "CellParked",
+            Event::CellDeparted { .. } => "CellDeparted",
+            Event::CellStarted { .. } => "CellStarted",
+            Event::CellReclaimed { .. } => "CellReclaimed",
             Event::Note { .. } => "Note",
         }
     }
@@ -502,5 +567,70 @@ mod tests {
             Some(DomId(2))
         );
         assert_eq!(Event::Dom0Up.domain(), None);
+    }
+
+    #[test]
+    fn cell_variants_render_their_old_note_text() {
+        use crate::EventLog;
+        use rh_sim::time::SimTime;
+
+        let started = |vm, warm, us| Event::CellStarted {
+            vm,
+            warm,
+            latency: SimDuration::from_micros(us),
+        };
+        let cases = [
+            (
+                Event::CellRejected { vm: 3 },
+                "CellRejected",
+                "vm3 rejected at cap",
+            ),
+            (
+                Event::CellQueued { vm: 4 },
+                "CellQueued",
+                "vm4 queued for frames",
+            ),
+            (Event::CellParked { vm: 7 }, "CellParked", "vm7 parked warm"),
+            (
+                Event::CellDeparted { vm: 8 },
+                "CellDeparted",
+                "vm8 departed",
+            ),
+            (
+                started(9, true, 15_410),
+                "CellStarted",
+                "vm9 warm start latency=0.015s",
+            ),
+            (
+                started(10, false, 8_388_608),
+                "CellStarted",
+                "vm10 cold start latency=8.389s",
+            ),
+            (
+                Event::CellReclaimed { vm: 12, pages: 64 },
+                "CellReclaimed",
+                "reclaimed 64 pages for vm12",
+            ),
+        ];
+        for (event, kind, text) in cases {
+            let note = Event::note("cell", text);
+            assert_eq!(event.category(), "cell", "{kind}");
+            assert_eq!(event.message(), text, "{kind}");
+            assert_eq!(event.kind(), kind);
+            assert_eq!(event.domain(), None, "{kind}");
+
+            // In a log, the typed event renders the note's line, and its
+            // JSONL record differs only in naming its own kind.
+            let (mut typed, mut untyped) = (EventLog::new(), EventLog::new());
+            typed.emit(SimTime::from_micros(2_419_000), event);
+            untyped.emit(SimTime::from_micros(2_419_000), note);
+            assert_eq!(typed.render(), untyped.render(), "{kind}");
+            assert_eq!(
+                typed.to_jsonl(),
+                untyped
+                    .to_jsonl()
+                    .replace("\"kind\":\"Note\"", &format!("\"kind\":\"{kind}\"")),
+            );
+        }
     }
 }
