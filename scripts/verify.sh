@@ -67,12 +67,17 @@ echo "==> perfbench fingerprints at full scale (seed 2007)"
 # The self-test runs at --tiny, where no fingerprint is pinned. At full
 # scale each workload's simulated outputs must match the fingerprint
 # perfbench pins for seed 2007, or its last line reads "correct": false.
-for workload in host-rejuv fleet-campaign cell-churn; do
+# The traced cell-churn run logs every typed cell event into an enabled
+# log and must match the untraced fingerprint: the only full-scale check
+# that the cell's event log changes no simulated number. It also feeds
+# the traced counters that parse cell message text.
+for run in host-rejuv:0 fleet-campaign:0 cell-churn:0 cell-churn:1; do
+    workload=${run%:*} trace=${run#*:}
     if ! cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 2007 --seconds 0 --trace 0 \
+        --workload "$workload" --seed 2007 --seconds 0 --trace "$trace" \
         > "$smoke_dir/perfbench.txt" ||
         ! tail -n 1 "$smoke_dir/perfbench.txt" | grep -q '"correct": true'; then
-        echo "FAIL: perfbench $workload at seed 2007 is not correct" >&2
+        echo "FAIL: perfbench $workload (trace $trace) at seed 2007 is not correct" >&2
         cat "$smoke_dir/perfbench.txt" >&2
         exit 1
     fi
