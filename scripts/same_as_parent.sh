@@ -15,8 +15,12 @@
 #
 # Compared, in order: `all --jobs 2`; `all --jobs 2 --max-n 3 --quick` and
 # its `--trace-jsonl` file; `frontier`, `faults`, `fleetbench` and
-# `cellbench` with `--quick`; `ablations`; and `rhctl reboot --strategy S
-# --vms 4 --service ssh` for all five strategies.
+# `cellbench` with `--quick`; `ablations`; `rhctl reboot --strategy S
+# --vms 4 --service ssh` for all five strategies; and the `rh-lint` model
+# checkers (`protocol`, `fleet`, `postcopy`, `balloon`), whose stdout,
+# stderr and exit status must all match: passing runs, counterexample runs
+# (exit 1) in text and `--json`, `--no-reduce` and `--jobs 4` runs, and
+# usage errors (exit 2).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -62,6 +66,25 @@ same() {
     differ "$name" "$bin $*"
 }
 
+# same_status NAME BIN ARGS...: like `same`, but BIN may fail: its stdout,
+# stderr and exit status must each match between the two builds.
+same_status() {
+    name=$1 bin=$2
+    shift 2
+    for side in base head; do
+        case $side in
+        base) bin_dir=$work/target/release ;;
+        head) bin_dir=$head_dir/target/release ;;
+        esac
+        status=0
+        (cd "$work/out-$side" && "$bin_dir/$bin" "$@" > "$name" 2> "$name.err") || status=$?
+        echo "$status" > "$work/out-$side/$name.status"
+    done
+    for file in "$name" "$name.err" "$name.status"; do
+        differ "$file" "$bin $*"
+    done
+}
+
 echo "==> comparing outputs"
 same all all --jobs 2
 same all-quick all --jobs 2 --max-n 3 --quick --trace-jsonl all-quick.jsonl
@@ -73,4 +96,51 @@ same ablations ablations
 for strategy in warm saved cold streamed incremental; do
     same "rhctl-$strategy" rhctl reboot --strategy "$strategy" --vms 4 --service ssh
 done
+
+# checker NAME ARGS...: one rh-lint checker run, compared with its status.
+n=0
+checker() {
+    n=$((n + 1))
+    same_status "rh-lint-$n" rh-lint "$@"
+}
+# Passing runs (verify.sh's) and counterexample runs (verify.sh's
+# must-fail runs, plus protocol's --buggy), each in text and in --json.
+for json in "" --json; do
+    checker protocol --domains 3 $json
+    checker protocol --domains 3 --faults $json
+    checker protocol --domains 3 --faults --unsafe-recovery $json
+    checker protocol --buggy $json
+    checker fleet $json
+    checker fleet --driver wave --hosts 5 --max-down 2 --crashes 2 $json
+    checker fleet --driver buggy-overlap $json
+    checker postcopy $json
+    checker postcopy --buggy $json
+    checker balloon --domains 3 $json
+    checker balloon --buggy $json
+    checker balloon --buggy-deflate $json
+done
+for model in protocol fleet postcopy balloon; do
+    checker "$model" --no-reduce
+    checker "$model" --jobs 4
+    # Usage errors: an unknown flag, a missing value, a non-numeric value
+    # and an exhausted state budget.
+    checker "$model" --bogus
+    checker "$model" --jobs
+    checker "$model" --max-states x
+    checker "$model" --max-states 5
+done
+checker protocol --domains 4 --jobs 4
+checker protocol --domains 0
+checker protocol --domains 13
+checker protocol --unsafe-recovery
+checker fleet --hosts 0
+checker fleet --hosts 9
+checker fleet --max-down 0
+checker fleet --driver
+checker fleet --driver parallel
+checker postcopy --domains 0
+checker postcopy --pages 9
+checker postcopy --pages 2 --working-set 3
+checker balloon --domains 9
+checker balloon --pages 9
 echo "==> same bytes as $rev"
