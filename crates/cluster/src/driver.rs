@@ -22,7 +22,7 @@
 //! decides from the *reboot window* instead of the host's actual phase, so
 //! a crash-then-recovery window looks "done" and the driver both restarts
 //! the recovering host (I7) and lets the next host proceed under it (I6).
-//! `rh-lint fleet --buggy-overlap` must find both, shortest first.
+//! `rh-lint fleet --driver buggy-overlap` must find both, shortest first.
 
 use crate::schedule::ScheduleConstraints;
 
@@ -115,7 +115,8 @@ impl CampaignDriver for SerialDriver {
     }
 }
 
-/// A deliberately buggy poll-based rule (`rh-lint fleet --buggy-overlap`).
+/// A deliberately buggy poll-based rule (`rh-lint fleet --driver
+/// buggy-overlap`).
 ///
 /// The controller polls reboot *windows*, not phases: a host counts as
 /// down only while `Rebooting`, and a pending host is (re)started whenever

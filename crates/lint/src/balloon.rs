@@ -35,7 +35,7 @@
 
 use std::fmt;
 
-use crate::explore::{self, Model, Options as ExploreOptions};
+use crate::explore::{self, Model, Options as ExploreOptions, Run};
 
 /// Model scale and fault injection.
 #[derive(Debug, Clone)]
@@ -336,17 +336,6 @@ impl ModelState {
     }
 }
 
-/// Rejects configs the model cannot represent.
-fn validate(cfg: &BalloonConfig) -> Result<(), String> {
-    if cfg.domains == 0 || cfg.domains > 8 {
-        return Err("balloon: --domains must be in 1..=8".to_string());
-    }
-    if cfg.pages < 2 || cfg.pages > 7 {
-        return Err("balloon: --pages must be in 2..=7 (3-bit resident encoding)".to_string());
-    }
-    Ok(())
-}
-
 struct BalloonModel<'a> {
     cfg: &'a BalloonConfig,
     symmetry: bool,
@@ -357,7 +346,12 @@ impl Model for BalloonModel<'_> {
     type Event = Event;
 
     fn initial(&self) -> Result<ModelState, String> {
-        validate(self.cfg)?;
+        if self.cfg.domains == 0 || self.cfg.domains > 8 {
+            return Err("balloon: --domains must be in 1..=8".to_string());
+        }
+        if self.cfg.pages < 2 || self.cfg.pages > 7 {
+            return Err("balloon: --pages must be in 2..=7 (3-bit resident encoding)".to_string());
+        }
         Ok(ModelState::init(self.cfg))
     }
 
@@ -383,6 +377,10 @@ impl Model for BalloonModel<'_> {
         state.is_complete()
     }
 
+    fn trace(&self, events: &[Event]) -> Vec<rh_obs::Event> {
+        to_obs_trace(events)
+    }
+
     fn independent(&self, a: Event, b: Event) -> bool {
         // Reclaim/Scrub/DeflateMap share the free pool and Scrub has no
         // domain at all, so only the purely domain-local events commute —
@@ -398,50 +396,6 @@ impl Model for BalloonModel<'_> {
     }
 }
 
-/// A reachable state violating I8 or I9, with the event path to it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Which invariant failed (`I8 frozen-frames-fenced`, …).
-    pub invariant: String,
-    /// What exactly went wrong.
-    pub detail: String,
-    /// Typed events from the initial state to the violating state
-    /// ([`to_obs_trace`] of the model-event path).
-    pub trace: Vec<rh_obs::Event>,
-    /// The raw model-event path (what [`replay`] accepts).
-    pub events: Vec<Event>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "invariant {} violated: {}", self.invariant, self.detail)?;
-        writeln!(f, "counterexample trace ({} events):", self.trace.len())?;
-        f.write_str(&rh_obs::render_numbered(&self.trace))
-    }
-}
-
-/// Result of an exhaustive balloon/warm-reboot exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exploration {
-    /// Distinct states visited.
-    pub states: u64,
-    /// Transitions taken (including ones into already-visited states).
-    pub transitions: u64,
-    /// Distinct reachable states in which every domain finished its warm
-    /// reboot with no demand outstanding — proof rejuvenation completes
-    /// under balloon pressure.
-    pub completed_rounds: u64,
-    /// The first violation found, if any.
-    pub violation: Option<Violation>,
-}
-
-impl Exploration {
-    /// True when every reachable state satisfied every invariant.
-    pub fn passed(&self) -> bool {
-        self.violation.is_none()
-    }
-}
-
 /// Exhaustively explores every interleaving of warm reboots and balloon
 /// traffic, checking I8/I9 in every reachable state.
 ///
@@ -454,62 +408,13 @@ impl Exploration {
 /// # Errors
 ///
 /// Returns an error string on an invalid config or when `opts.max_states`
-/// is exhausted; protocol violations come back inside the
-/// [`Exploration`].
-pub fn explore(cfg: &BalloonConfig, opts: &ExploreOptions) -> Result<Exploration, String> {
+/// is exhausted; protocol violations come back inside the [`Run`].
+pub fn explore(cfg: &BalloonConfig, opts: &ExploreOptions) -> Result<Run<Event>, String> {
     let model = BalloonModel {
         cfg,
         symmetry: opts.reduce,
     };
-    let run = explore::explore(&model, opts)?;
-    Ok(Exploration {
-        states: run.states,
-        transitions: run.transitions,
-        completed_rounds: run.completed,
-        violation: run.violation.map(|c| Violation {
-            invariant: c.invariant,
-            detail: c.detail,
-            trace: to_obs_trace(&c.events),
-            events: c.events,
-        }),
-    })
-}
-
-/// Replays one specific event sequence through the same transition table
-/// and invariant checks — used to re-validate reduced-exploration
-/// counterexamples against the unreduced rules.
-///
-/// # Errors
-///
-/// Returns a [`Violation`] if an event fires while its guard is false, or
-/// any invariant fails afterwards.
-pub fn replay(cfg: &BalloonConfig, events: &[Event]) -> Result<(), Violation> {
-    let fail = |invariant: &str, detail: String, trace: &[Event]| Violation {
-        invariant: invariant.to_string(),
-        detail,
-        trace: to_obs_trace(trace),
-        events: trace.to_vec(),
-    };
-    validate(cfg).map_err(|e| fail("model-init", e, &[]))?;
-    let mut state = ModelState::init(cfg);
-    let mut trace: Vec<Event> = Vec::new();
-    for event in events {
-        trace.push(*event);
-        if !state.enabled_events(cfg).contains(event) {
-            return Err(fail(
-                "guard",
-                format!("event {event} fired while its guard is false"),
-                &trace,
-            ));
-        }
-        if let Err(e) = state.apply(cfg, *event) {
-            return Err(fail("model-apply", e, &trace));
-        }
-        if let Err((invariant, detail)) = state.check_invariants() {
-            return Err(fail(&invariant, detail, &trace));
-        }
-    }
-    Ok(())
+    explore::explore(&model, opts)
 }
 
 #[cfg(test)]
@@ -527,11 +432,19 @@ mod tests {
         }
     }
 
+    fn replay(cfg: &BalloonConfig, events: &[Event]) -> Result<(), explore::Counterexample<Event>> {
+        let model = BalloonModel {
+            cfg,
+            symmetry: false,
+        };
+        explore::replay(&model, events)
+    }
+
     #[test]
     fn default_config_satisfies_both_invariants() {
         let run = explore(&BalloonConfig::default(), &reduced()).unwrap();
         assert!(run.passed(), "{:?}", run.violation);
-        assert!(run.completed_rounds > 0, "rejuvenation must complete");
+        assert!(run.completed > 0, "rejuvenation must complete");
     }
 
     #[test]
@@ -545,7 +458,7 @@ mod tests {
         };
         let run = explore(&cfg, &raw()).unwrap();
         assert!(run.passed(), "{:?}", run.violation);
-        assert!(run.completed_rounds > 0);
+        assert!(run.completed > 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::fmt;
 use rh_cluster::driver::{CampaignDriver, FleetView, HostPhase, OverlapBugDriver, SerialDriver};
 use rh_fleet::campaign::WaveDriver;
 
-use crate::explore::{self, Model, Options as ExploreOptions};
+use crate::explore::{self, Model, Options as ExploreOptions, Run};
 
 /// Which campaign decision rule drives the model (`--driver`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,49 +166,6 @@ pub fn to_obs_trace(events: &[FleetEvent]) -> Vec<rh_obs::Event> {
         .collect()
 }
 
-/// A reachable fleet state violating I6 or I7, with the event path to it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Which invariant failed (`I6 capacity-floor` or `I7 single-recovery`).
-    pub invariant: String,
-    /// What exactly went wrong.
-    pub detail: String,
-    /// Typed events from the initial state to the violating state
-    /// ([`to_obs_trace`] of the model-event path).
-    pub trace: Vec<rh_obs::Event>,
-    /// The raw model-event path.
-    pub events: Vec<FleetEvent>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "invariant {} violated: {}", self.invariant, self.detail)?;
-        writeln!(f, "counterexample trace ({} events):", self.trace.len())?;
-        f.write_str(&rh_obs::render_numbered(&self.trace))
-    }
-}
-
-/// Result of an exhaustive fleet exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exploration {
-    /// Distinct states visited.
-    pub states: u64,
-    /// Transitions taken (including ones into already-visited states).
-    pub transitions: u64,
-    /// Distinct reachable states in which every host completed its
-    /// rejuvenation.
-    pub completed_campaigns: u64,
-    /// The first violation found (BFS order → shortest trace), if any.
-    pub violation: Option<Violation>,
-}
-
-impl Exploration {
-    /// True when every reachable state satisfies I6 and I7.
-    pub fn passed(&self) -> bool {
-        self.violation.is_none()
-    }
-}
-
 /// Per-host model state: the campaign-visible phase plus the completion
 /// flag the driver polls.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,8 +203,8 @@ impl Model for FleetModel {
     type Event = FleetEvent;
 
     fn initial(&self) -> Result<FleetState, String> {
-        if self.cfg.hosts == 0 {
-            return Err("fleet: --hosts must be at least 1".to_string());
+        if self.cfg.hosts == 0 || self.cfg.hosts > 8 {
+            return Err("--hosts must be in 1..=8 (the fleet model is explored raw)".to_string());
         }
         if self.cfg.max_down == 0 {
             return Err("fleet: --max-down must be at least 1 (no host could ever reboot)".into());
@@ -363,6 +320,10 @@ impl Model for FleetModel {
     fn is_goal(&self, state: &FleetState) -> bool {
         state.completed.iter().all(|c| *c)
     }
+
+    fn trace(&self, events: &[FleetEvent]) -> Vec<rh_obs::Event> {
+        to_obs_trace(events)
+    }
 }
 
 /// Exhaustively explores the fleet model under `cfg` and checks I6/I7 on
@@ -372,20 +333,8 @@ impl Model for FleetModel {
 ///
 /// Returns a message on an invalid configuration or when
 /// [`ExploreOptions::max_states`] is exceeded.
-pub fn explore(cfg: &FleetConfig, opts: &ExploreOptions) -> Result<Exploration, String> {
-    let model = FleetModel::new(cfg);
-    let run = explore::explore(&model, opts)?;
-    Ok(Exploration {
-        states: run.states,
-        transitions: run.transitions,
-        completed_campaigns: run.completed,
-        violation: run.violation.map(|c| Violation {
-            invariant: c.invariant,
-            detail: c.detail,
-            trace: to_obs_trace(&c.events),
-            events: c.events,
-        }),
-    })
+pub fn explore(cfg: &FleetConfig, opts: &ExploreOptions) -> Result<Run<FleetEvent>, String> {
+    explore::explore(&FleetModel::new(cfg), opts)
 }
 
 #[cfg(test)]
@@ -403,10 +352,7 @@ mod tests {
         // never overlaps a start with a recovery.
         let result = explore(&FleetConfig::default(), &opts()).unwrap();
         assert!(result.passed(), "unexpected: {:?}", result.violation);
-        assert!(
-            result.completed_campaigns >= 1,
-            "campaign must be completable"
-        );
+        assert!(result.completed >= 1, "campaign must be completable");
     }
 
     #[test]
@@ -431,7 +377,7 @@ mod tests {
                     "{driver}: {hosts} hosts / max_down {max_down} / {max_crashes} crash(es): {:?}",
                     result.violation
                 );
-                assert!(result.completed_campaigns >= 1);
+                assert!(result.completed >= 1);
             }
         }
     }
@@ -556,11 +502,16 @@ mod tests {
 
     #[test]
     fn zero_hosts_and_zero_max_down_are_rejected() {
-        let cfg = FleetConfig {
-            hosts: 0,
-            ..FleetConfig::default()
-        };
-        assert!(explore(&cfg, &opts()).is_err());
+        for hosts in [0, 9] {
+            let cfg = FleetConfig {
+                hosts,
+                ..FleetConfig::default()
+            };
+            assert_eq!(
+                explore(&cfg, &opts()).unwrap_err(),
+                "--hosts must be in 1..=8 (the fleet model is explored raw)"
+            );
+        }
         let cfg = FleetConfig {
             max_down: 0,
             ..FleetConfig::default()

@@ -13,7 +13,12 @@
 //! rejuvenation campaign ([`fleet`], invariants I6/I7), the post-copy
 //! page-serving fault path of the streamed reboot ([`postcopy`],
 //! invariants P1/P2), and the balloon / warm-reboot interaction of the
-//! serverless cell ([`balloon`], invariants I8/I9).
+//! serverless cell ([`balloon`], invariants I8/I9). The engine owns the
+//! result of every check: each model's `explore` returns an
+//! [`explore::Run`] whose [`explore::Counterexample`] carries the event
+//! path, its typed trace (the model's [`explore::Model::trace`]) and one
+//! rendering, and [`explore::replay`] walks any single path through a
+//! model's guards and invariants.
 //!
 //! Run it via the binary:
 //!
@@ -24,7 +29,7 @@
 //! cargo run -p rh-lint -- protocol --domains 3
 //! cargo run -p rh-lint -- protocol --buggy # must find the §4.3 hazard
 //! cargo run -p rh-lint -- fleet            # campaign invariants I6/I7
-//! cargo run -p rh-lint -- fleet --buggy-overlap  # must find the I7 bug
+//! cargo run -p rh-lint -- fleet --driver buggy-overlap # must find I7
 //! cargo run -p rh-lint -- postcopy         # stream-in invariants P1/P2
 //! cargo run -p rh-lint -- postcopy --buggy # must find the early serve
 //! cargo run -p rh-lint -- balloon          # cell invariants I8/I9

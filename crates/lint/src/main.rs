@@ -7,7 +7,7 @@
 //!                  [--faults [--unsafe-recovery]]
 //!                  [--jobs N] [--max-states N] [--no-reduce]
 //! rh-lint fleet    [--hosts N] [--max-down N] [--crashes N]
-//!                  [--driver serial|wave|buggy-overlap] [--buggy-overlap]
+//!                  [--driver serial|wave|buggy-overlap]
 //!                  [--jobs N] [--max-states N] [--json]
 //! rh-lint postcopy [--domains N] [--pages N] [--working-set N] [--buggy]
 //!                  [--no-torn] [--jobs N] [--max-states N] [--no-reduce]
@@ -26,10 +26,10 @@ use std::process::ExitCode;
 
 use rh_lint::balloon::{self, BalloonConfig};
 use rh_lint::diagnostics::violation_json;
-use rh_lint::explore::Options as ExploreOptions;
+use rh_lint::explore::{Options as ExploreOptions, Run};
 use rh_lint::fleet::{self, DriverKind, FleetConfig};
 use rh_lint::postcopy::{self, PostcopyConfig};
-use rh_lint::protocol::{explore, ProtocolConfig};
+use rh_lint::protocol::{self, ProtocolConfig};
 use rh_lint::walk::find_workspace_root;
 use rh_lint::{lint_workspace, update_baseline};
 
@@ -125,297 +125,216 @@ fn run_lint(args: &[String]) -> Result<bool, String> {
 
 fn run_protocol(args: &[String]) -> Result<bool, String> {
     let mut cfg = ProtocolConfig::default();
-    let mut opts = ExploreOptions::default();
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--domains" => {
-                let n = parse_num(args.get(i + 1), "--domains")?;
-                cfg.domains = u32::try_from(n).map_err(|_| format!("--domains {n}: too large"))?;
-                i += 1;
-            }
-            "--exec-bytes" => {
-                cfg.exec_bytes = parse_num(args.get(i + 1), "--exec-bytes")?;
-                i += 1;
-            }
-            "--jobs" => {
-                opts.jobs = parse_num(args.get(i + 1), "--jobs")? as usize;
-                i += 1;
-            }
-            "--max-states" => {
-                opts.max_states = Some(parse_num(args.get(i + 1), "--max-states")?);
-                i += 1;
-            }
+    let (opts, json) = checker_flags("protocol", args, |flag, flags, opts| {
+        match flag {
+            "--domains" => cfg.domains = flags.u32(flag)?,
+            "--exec-bytes" => cfg.exec_bytes = flags.num(flag)?,
             "--no-reduce" => opts.reduce = false,
             "--buggy" => cfg.buggy_reload = true,
             "--faults" => cfg.faults = true,
             "--unsafe-recovery" => cfg.unsafe_recovery = true,
-            "--json" => json = true,
-            other => return Err(format!("unknown protocol argument `{other}`")),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    if cfg.domains == 0 || cfg.domains > 12 {
-        return Err(
-            "--domains must be in 1..=12 (use --no-reduce only on small configs)".to_string(),
-        );
-    }
-    if cfg.unsafe_recovery && !cfg.faults {
-        return Err("--unsafe-recovery only makes sense with --faults".to_string());
-    }
-    let result = explore(&cfg, &opts)?;
+        Ok(true)
+    })?;
     let mode = if opts.reduce { "symmetry+por" } else { "raw" };
-    if json {
-        let violation = match &result.violation {
-            None => "null".to_string(),
-            Some(v) => violation_json(&v.invariant, &v.detail, &v.trace),
-        };
-        println!(
-            "{{\"domains\":{},\"reduction\":\"{mode}\",\"states\":{},\"transitions\":{},\"completed_runs\":{},\"violation\":{violation}}}",
-            cfg.domains, result.states, result.transitions, result.completed_runs
-        );
+    let i5 = if cfg.faults {
+        ", I5 recovery-validation"
     } else {
-        println!(
-            "protocol: {} domain(s), {} state(s), {} transition(s), {} completed run(s) [{mode}]",
-            cfg.domains, result.states, result.transitions, result.completed_runs
-        );
-        match &result.violation {
-            None => {
-                let i5 = if cfg.faults {
-                    ", I5 recovery-validation"
-                } else {
-                    ""
-                };
-                println!(
-                    "all interleavings satisfy I1 frozen-frames-reserved, \
-                     I2 digest-preservation, I3 exec-state-bounded, I4 p2m-survives{i5}"
-                );
-            }
-            Some(v) => print!("{v}"),
-        }
-    }
-    Ok(result.passed())
+        ""
+    };
+    Ok(report(
+        &protocol::explore(&cfg, &opts)?,
+        json,
+        &format!("\"domains\":{},\"reduction\":\"{mode}\"", cfg.domains),
+        &format!("protocol: {} domain(s)", cfg.domains),
+        ("completed_runs", "run"),
+        mode,
+        &format!(
+            "I1 frozen-frames-reserved, I2 digest-preservation, \
+             I3 exec-state-bounded, I4 p2m-survives{i5}"
+        ),
+    ))
 }
 
 fn run_fleet(args: &[String]) -> Result<bool, String> {
     let mut cfg = FleetConfig::default();
-    let mut opts = ExploreOptions::default();
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--hosts" => {
-                let n = parse_num(args.get(i + 1), "--hosts")?;
-                cfg.hosts = u32::try_from(n).map_err(|_| format!("--hosts {n}: too large"))?;
-                i += 1;
-            }
-            "--max-down" => {
-                let n = parse_num(args.get(i + 1), "--max-down")?;
-                cfg.max_down =
-                    u32::try_from(n).map_err(|_| format!("--max-down {n}: too large"))?;
-                i += 1;
-            }
-            "--crashes" => {
-                let n = parse_num(args.get(i + 1), "--crashes")?;
-                cfg.max_crashes =
-                    u32::try_from(n).map_err(|_| format!("--crashes {n}: too large"))?;
-                i += 1;
-            }
-            "--jobs" => {
-                opts.jobs = parse_num(args.get(i + 1), "--jobs")? as usize;
-                i += 1;
-            }
-            "--max-states" => {
-                opts.max_states = Some(parse_num(args.get(i + 1), "--max-states")?);
-                i += 1;
-            }
-            "--driver" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--driver needs a value".to_string())?;
-                cfg.driver = DriverKind::parse(v)?;
-                i += 1;
-            }
-            // Pre-DriverKind spelling, kept as an alias.
-            "--buggy-overlap" => cfg.driver = DriverKind::OverlapBug,
-            "--json" => json = true,
-            other => return Err(format!("unknown fleet argument `{other}`")),
+    let (opts, json) = checker_flags("fleet", args, |flag, flags, _| {
+        match flag {
+            "--hosts" => cfg.hosts = flags.u32(flag)?,
+            "--max-down" => cfg.max_down = flags.u32(flag)?,
+            "--crashes" => cfg.max_crashes = flags.u32(flag)?,
+            "--driver" => cfg.driver = DriverKind::parse(flags.value(flag)?)?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    if cfg.hosts == 0 || cfg.hosts > 8 {
-        return Err("--hosts must be in 1..=8 (the fleet model is explored raw)".to_string());
-    }
-    let result = fleet::explore(&cfg, &opts)?;
+        Ok(true)
+    })?;
     let driver = cfg.driver;
-    if json {
-        let violation = match &result.violation {
-            None => "null".to_string(),
-            Some(v) => violation_json(&v.invariant, &v.detail, &v.trace),
-        };
-        println!(
-            "{{\"hosts\":{},\"max_down\":{},\"crashes\":{},\"driver\":\"{driver}\",\"states\":{},\"transitions\":{},\"completed_campaigns\":{},\"violation\":{violation}}}",
-            cfg.hosts, cfg.max_down, cfg.max_crashes, result.states, result.transitions,
-            result.completed_campaigns
-        );
-    } else {
-        println!(
-            "fleet: {} host(s), max-down {}, {} crash(es), {} state(s), {} transition(s), \
-             {} completed campaign(s) [{driver}]",
-            cfg.hosts,
-            cfg.max_down,
-            cfg.max_crashes,
-            result.states,
-            result.transitions,
-            result.completed_campaigns
-        );
-        match &result.violation {
-            None => println!(
-                "all interleavings satisfy I6 capacity-floor (>= {} serving), I7 single-recovery",
-                cfg.hosts.saturating_sub(cfg.max_down)
-            ),
-            Some(v) => print!("{v}"),
-        }
-    }
-    Ok(result.passed())
+    Ok(report(
+        &fleet::explore(&cfg, &opts)?,
+        json,
+        &format!(
+            "\"hosts\":{},\"max_down\":{},\"crashes\":{},\"driver\":\"{driver}\"",
+            cfg.hosts, cfg.max_down, cfg.max_crashes
+        ),
+        &format!(
+            "fleet: {} host(s), max-down {}, {} crash(es)",
+            cfg.hosts, cfg.max_down, cfg.max_crashes
+        ),
+        ("completed_campaigns", "campaign"),
+        &driver.to_string(),
+        &format!(
+            "I6 capacity-floor (>= {} serving), I7 single-recovery",
+            cfg.hosts.saturating_sub(cfg.max_down)
+        ),
+    ))
 }
 
 fn run_postcopy(args: &[String]) -> Result<bool, String> {
     let mut cfg = PostcopyConfig::default();
-    let mut opts = ExploreOptions::default();
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--domains" => {
-                let n = parse_num(args.get(i + 1), "--domains")?;
-                cfg.domains = u32::try_from(n).map_err(|_| format!("--domains {n}: too large"))?;
-                i += 1;
-            }
-            "--pages" => {
-                let n = parse_num(args.get(i + 1), "--pages")?;
-                cfg.pages = u32::try_from(n).map_err(|_| format!("--pages {n}: too large"))?;
-                i += 1;
-            }
-            "--working-set" => {
-                let n = parse_num(args.get(i + 1), "--working-set")?;
-                cfg.working_set =
-                    u32::try_from(n).map_err(|_| format!("--working-set {n}: too large"))?;
-                i += 1;
-            }
-            "--jobs" => {
-                opts.jobs = parse_num(args.get(i + 1), "--jobs")? as usize;
-                i += 1;
-            }
-            "--max-states" => {
-                opts.max_states = Some(parse_num(args.get(i + 1), "--max-states")?);
-                i += 1;
-            }
+    let (opts, json) = checker_flags("postcopy", args, |flag, flags, opts| {
+        match flag {
+            "--domains" => cfg.domains = flags.u32(flag)?,
+            "--pages" => cfg.pages = flags.u32(flag)?,
+            "--working-set" => cfg.working_set = flags.u32(flag)?,
             "--no-reduce" => opts.reduce = false,
             "--buggy" => cfg.buggy_serve = true,
             "--no-torn" => cfg.torn_reads = false,
-            "--json" => json = true,
-            other => return Err(format!("unknown postcopy argument `{other}`")),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    let result = postcopy::explore(&cfg, &opts)?;
+        Ok(true)
+    })?;
     let mode = if opts.reduce { "symmetry+por" } else { "raw" };
-    if json {
-        let violation = match &result.violation {
-            None => "null".to_string(),
-            Some(v) => violation_json(&v.invariant, &v.detail, &v.trace),
-        };
-        println!(
-            "{{\"domains\":{},\"pages\":{},\"working_set\":{},\"reduction\":\"{mode}\",\"states\":{},\"transitions\":{},\"completed_streams\":{},\"violation\":{violation}}}",
-            cfg.domains, cfg.pages, cfg.working_set, result.states, result.transitions,
-            result.completed_streams
-        );
-    } else {
-        println!(
-            "postcopy: {} domain(s), {} page(s) ({} resident at resume), {} state(s), \
-             {} transition(s), {} completed stream-in(s) [{mode}]",
-            cfg.domains,
-            cfg.pages,
-            cfg.working_set,
-            result.states,
-            result.transitions,
-            result.completed_streams
-        );
-        match &result.violation {
-            None => println!(
-                "all interleavings satisfy P1 validated-before-serve, \
-                 P2 validated-content-intact"
-            ),
-            Some(v) => print!("{v}"),
-        }
-    }
-    Ok(result.passed())
+    Ok(report(
+        &postcopy::explore(&cfg, &opts)?,
+        json,
+        &format!(
+            "\"domains\":{},\"pages\":{},\"working_set\":{},\"reduction\":\"{mode}\"",
+            cfg.domains, cfg.pages, cfg.working_set
+        ),
+        &format!(
+            "postcopy: {} domain(s), {} page(s) ({} resident at resume)",
+            cfg.domains, cfg.pages, cfg.working_set
+        ),
+        ("completed_streams", "stream-in"),
+        mode,
+        "P1 validated-before-serve, P2 validated-content-intact",
+    ))
 }
 
 fn run_balloon(args: &[String]) -> Result<bool, String> {
     let mut cfg = BalloonConfig::default();
-    let mut opts = ExploreOptions::default();
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--domains" => {
-                let n = parse_num(args.get(i + 1), "--domains")?;
-                cfg.domains = u32::try_from(n).map_err(|_| format!("--domains {n}: too large"))?;
-                i += 1;
-            }
-            "--pages" => {
-                let n = parse_num(args.get(i + 1), "--pages")?;
-                cfg.pages = u32::try_from(n).map_err(|_| format!("--pages {n}: too large"))?;
-                i += 1;
-            }
-            "--jobs" => {
-                opts.jobs = parse_num(args.get(i + 1), "--jobs")? as usize;
-                i += 1;
-            }
-            "--max-states" => {
-                opts.max_states = Some(parse_num(args.get(i + 1), "--max-states")?);
-                i += 1;
-            }
+    let (opts, json) = checker_flags("balloon", args, |flag, flags, opts| {
+        match flag {
+            "--domains" => cfg.domains = flags.u32(flag)?,
+            "--pages" => cfg.pages = flags.u32(flag)?,
             "--no-reduce" => opts.reduce = false,
             "--buggy" => cfg.buggy_reclaim = true,
             "--buggy-deflate" => cfg.buggy_deflate = true,
-            "--json" => json = true,
-            other => return Err(format!("unknown balloon argument `{other}`")),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    let result = balloon::explore(&cfg, &opts)?;
+        Ok(true)
+    })?;
     let mode = if opts.reduce { "symmetry+por" } else { "raw" };
+    Ok(report(
+        &balloon::explore(&cfg, &opts)?,
+        json,
+        &format!(
+            "\"domains\":{},\"pages\":{},\"reduction\":\"{mode}\"",
+            cfg.domains, cfg.pages
+        ),
+        &format!(
+            "balloon: {} domain(s), {} page(s) each",
+            cfg.domains, cfg.pages
+        ),
+        ("completed_rounds", "rejuvenation round"),
+        mode,
+        "I8 frozen-frames-fenced, I9 validated-before-map",
+    ))
+}
+
+/// The flags after a checker subcommand, read left to right.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a String, String> {
+        self.0.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The number after `flag`.
+    fn num(&mut self, flag: &str) -> Result<u64, String> {
+        let arg = self.value(flag)?;
+        arg.parse().map_err(|e| format!("{flag} {arg}: {e}"))
+    }
+
+    /// The number after `flag`, which must fit a `u32`.
+    fn u32(&mut self, flag: &str) -> Result<u32, String> {
+        let n = self.num(flag)?;
+        u32::try_from(n).map_err(|_| format!("{flag} {n}: too large"))
+    }
+}
+
+/// Reads a checker subcommand's flags. `--jobs`, `--max-states` and
+/// `--json` are read here; `own` reads the subcommand's other flags and
+/// returns `Ok(false)` for a flag it does not know.
+fn checker_flags(
+    name: &str,
+    args: &[String],
+    mut own: impl FnMut(&str, &mut Flags, &mut ExploreOptions) -> Result<bool, String>,
+) -> Result<(ExploreOptions, bool), String> {
+    let mut flags = Flags(args.iter());
+    let mut opts = ExploreOptions::default();
+    let mut json = false;
+    while let Some(flag) = flags.0.next() {
+        match flag.as_str() {
+            "--jobs" => opts.jobs = flags.num(flag)? as usize,
+            "--max-states" => opts.max_states = Some(flags.num(flag)?),
+            "--json" => json = true,
+            other => {
+                if !own(other, &mut flags, &mut opts)? {
+                    return Err(format!("unknown {name} argument `{other}`"));
+                }
+            }
+        }
+    }
+    Ok((opts, json))
+}
+
+/// Prints a checker's [`Run`] and returns whether it passed.
+///
+/// With `--json` it prints one object: the `config` keys, the counts (the
+/// goal count under `goal.0`) and the violation. Otherwise it prints the
+/// summary line, which opens with `shape`, counts goals as `goal.1` and
+/// closes with `[tag]`, then either the `invariants` every interleaving
+/// satisfies or the counterexample.
+fn report<E>(
+    run: &Run<E>,
+    json: bool,
+    config: &str,
+    shape: &str,
+    goal: (&str, &str),
+    tag: &str,
+    invariants: &str,
+) -> bool {
+    let (states, transitions, completed) = (run.states, run.transitions, run.completed);
     if json {
-        let violation = match &result.violation {
-            None => "null".to_string(),
-            Some(v) => violation_json(&v.invariant, &v.detail, &v.trace),
-        };
+        let violation = run.violation.as_ref().map_or("null".to_string(), |v| {
+            violation_json(&v.invariant, &v.detail, &v.trace)
+        });
         println!(
-            "{{\"domains\":{},\"pages\":{},\"reduction\":\"{mode}\",\"states\":{},\"transitions\":{},\"completed_rounds\":{},\"violation\":{violation}}}",
-            cfg.domains, cfg.pages, result.states, result.transitions, result.completed_rounds
+            "{{{config},\"states\":{states},\"transitions\":{transitions},\"{}\":{completed},\"violation\":{violation}}}",
+            goal.0
         );
     } else {
         println!(
-            "balloon: {} domain(s), {} page(s) each, {} state(s), {} transition(s), \
-             {} completed rejuvenation round(s) [{mode}]",
-            cfg.domains, cfg.pages, result.states, result.transitions, result.completed_rounds
+            "{shape}, {states} state(s), {transitions} transition(s), {completed} completed {}(s) [{tag}]",
+            goal.1
         );
-        match &result.violation {
-            None => println!(
-                "all interleavings satisfy I8 frozen-frames-fenced, \
-                 I9 validated-before-map"
-            ),
+        match &run.violation {
+            None => println!("all interleavings satisfy {invariants}"),
             Some(v) => print!("{v}"),
         }
     }
-    Ok(result.passed())
-}
-
-fn parse_num(arg: Option<&String>, flag: &str) -> Result<u64, String> {
-    let arg = arg.ok_or_else(|| format!("{flag} needs a value"))?;
-    arg.parse().map_err(|e| format!("{flag} {arg}: {e}"))
+    run.passed()
 }

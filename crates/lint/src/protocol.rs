@@ -58,7 +58,7 @@
 
 use std::fmt;
 
-use crate::explore::{self, Model, Options as ExploreOptions};
+use crate::explore::{self, Counterexample, Model, Options as ExploreOptions, Run};
 
 use rh_memory::contents::{DigestBuilder, FrameContents};
 use rh_memory::frame::{FrameRange, Mfn, Pfn};
@@ -243,51 +243,6 @@ struct ModelState {
     /// Faults mode: the one injected crash has happened.
     crashed: bool,
     generation: u64,
-}
-
-/// A reachable state violating an invariant, with the event path to it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Which invariant failed (`I1 frozen-frames-reserved`, …).
-    pub invariant: String,
-    /// What exactly went wrong.
-    pub detail: String,
-    /// Typed events from the initial state to the violating state, in
-    /// order ([`to_obs_trace`] of the model-event path).
-    pub trace: Vec<rh_obs::Event>,
-    /// The raw model-event path (what [`replay`] accepts) — kept alongside
-    /// the typed trace so a reduced-exploration counterexample can be
-    /// re-validated through the unreduced transition table.
-    pub events: Vec<Event>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "invariant {} violated: {}", self.invariant, self.detail)?;
-        writeln!(f, "counterexample trace ({} events):", self.trace.len())?;
-        f.write_str(&rh_obs::render_numbered(&self.trace))
-    }
-}
-
-/// Result of an exhaustive exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exploration {
-    /// Distinct states visited.
-    pub states: u64,
-    /// Transitions taken (including ones into already-visited states).
-    pub transitions: u64,
-    /// Distinct reachable states in which every domain is `Resumed` —
-    /// proof the lifecycle can complete.
-    pub completed_runs: u64,
-    /// The first violation found, if any.
-    pub violation: Option<Violation>,
-}
-
-impl Exploration {
-    /// True when every reachable state satisfied every invariant.
-    pub fn passed(&self) -> bool {
-        self.violation.is_none()
-    }
 }
 
 fn logical_digest(p2m: &P2mTable, contents: &FrameContents) -> u64 {
@@ -863,6 +818,14 @@ impl Model for ProtocolModel<'_> {
     type Event = Event;
 
     fn initial(&self) -> Result<ModelState, String> {
+        if self.cfg.domains == 0 || self.cfg.domains > 12 {
+            return Err(
+                "--domains must be in 1..=12 (use --no-reduce only on small configs)".to_string(),
+            );
+        }
+        if self.cfg.unsafe_recovery && !self.cfg.faults {
+            return Err("--unsafe-recovery only makes sense with --faults".to_string());
+        }
         ModelState::init(self.cfg)
     }
 
@@ -890,6 +853,10 @@ impl Model for ProtocolModel<'_> {
 
     fn is_goal(&self, state: &ModelState) -> bool {
         state.all_resumed()
+    }
+
+    fn trace(&self, events: &[Event]) -> Vec<rh_obs::Event> {
+        to_obs_trace(events)
     }
 
     fn independent(&self, a: Event, b: Event) -> bool {
@@ -927,62 +894,31 @@ impl Model for ProtocolModel<'_> {
 ///
 /// # Errors
 ///
-/// Returns an error string on internal checker failures (model
-/// construction) or when `opts.max_states` is exhausted; protocol
-/// violations come back inside the [`Exploration`].
-pub fn explore(cfg: &ProtocolConfig, opts: &ExploreOptions) -> Result<Exploration, String> {
+/// Returns an error string on an invalid config, on internal checker
+/// failures (model construction) or when `opts.max_states` is exhausted;
+/// protocol violations come back inside the [`Run`].
+pub fn explore(cfg: &ProtocolConfig, opts: &ExploreOptions) -> Result<Run<Event>, String> {
     let model = ProtocolModel {
         cfg,
         symmetry: opts.reduce,
     };
-    let run = explore::explore(&model, opts)?;
-    Ok(Exploration {
-        states: run.states,
-        transitions: run.transitions,
-        completed_runs: run.completed,
-        violation: run.violation.map(|c| Violation {
-            invariant: c.invariant,
-            detail: c.detail,
-            trace: to_obs_trace(&c.events),
-            events: c.events,
-        }),
-    })
+    explore::explore(&model, opts)
 }
 
 /// Replays one specific event sequence (e.g. the order the real `Host`
-/// emits) through the same transition table and invariant checks.
+/// emits) through the same transition table and invariant checks
+/// ([`explore::replay`] of the unreduced model).
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] if an event fires while its guard is false, or
-/// any invariant fails afterwards. Internal model failures are folded into
-/// the violation detail.
-pub fn replay(cfg: &ProtocolConfig, events: &[Event]) -> Result<(), Violation> {
-    let fail = |invariant: &str, detail: String, trace: &[Event]| Violation {
-        invariant: invariant.to_string(),
-        detail,
-        trace: to_obs_trace(trace),
-        events: trace.to_vec(),
+/// Returns a [`Counterexample`] if an event fires while its guard is
+/// false, or any invariant fails afterwards.
+pub fn replay(cfg: &ProtocolConfig, events: &[Event]) -> Result<(), Counterexample<Event>> {
+    let model = ProtocolModel {
+        cfg,
+        symmetry: false,
     };
-    let mut state = ModelState::init(cfg).map_err(|e| fail("model-init", e, &[]))?;
-    let mut trace: Vec<Event> = Vec::new();
-    for event in events {
-        trace.push(*event);
-        if !state.enabled_events(cfg).contains(event) {
-            return Err(fail(
-                "guard",
-                format!("event {event} fired while its guard is false"),
-                &trace,
-            ));
-        }
-        if let Err(e) = state.apply(*event, cfg) {
-            return Err(fail("model-apply", e, &trace));
-        }
-        if let Err((invariant, detail)) = state.check_invariants() {
-            return Err(fail(&invariant, detail, &trace));
-        }
-    }
-    Ok(())
+    explore::replay(&model, events)
 }
 
 #[cfg(test)]
@@ -1010,7 +946,7 @@ mod tests {
             "expected real interleaving, got {}",
             result.states
         );
-        assert!(result.completed_runs >= 1, "no run reached all-resumed");
+        assert!(result.completed >= 1, "no run reached all-resumed");
         let red = explore(&cfg, &reduced()).unwrap();
         assert!(red.passed(), "violation: {:?}", red.violation);
         assert!(
@@ -1019,7 +955,7 @@ mod tests {
             red.states,
             result.states
         );
-        assert!(red.completed_runs >= 1);
+        assert!(red.completed >= 1);
     }
 
     #[test]
@@ -1103,7 +1039,7 @@ mod tests {
         };
         let result = explore(&cfg, &reduced()).unwrap();
         assert!(result.passed(), "violation: {:?}", result.violation);
-        assert!(result.completed_runs >= 1, "no run reached all-resumed");
+        assert!(result.completed >= 1, "no run reached all-resumed");
     }
 
     #[test]
@@ -1255,7 +1191,7 @@ mod tests {
         assert!(err.contains("state budget exceeded"), "{err}");
         let red_d5 = explore(&cfg_at(5), &budget).unwrap();
         assert!(red_d5.passed(), "violation: {:?}", red_d5.violation);
-        assert!(red_d5.completed_runs >= 1);
+        assert!(red_d5.completed >= 1);
     }
 
     #[test]
@@ -1349,7 +1285,7 @@ mod tests {
 
     #[test]
     fn violation_renders_through_the_shared_numbered_renderer() {
-        let v = Violation {
+        let v = Counterexample {
             invariant: "I2 digest-preservation".to_string(),
             detail: "demo".to_string(),
             trace: to_obs_trace(&[Event::Suspend(0), Event::QuickReload]),
@@ -1362,6 +1298,23 @@ mod tests {
     }
 
     #[test]
+    fn invalid_configs_are_rejected_with_the_cli_text() {
+        let range = "--domains must be in 1..=12 (use --no-reduce only on small configs)";
+        for (domains, unsafe_recovery, text) in [
+            (0, false, range),
+            (13, false, range),
+            (3, true, "--unsafe-recovery only makes sense with --faults"),
+        ] {
+            let cfg = ProtocolConfig {
+                domains,
+                unsafe_recovery,
+                ..ProtocolConfig::default()
+            };
+            assert_eq!(explore(&cfg, &reduced()).unwrap_err(), text, "{cfg:?}");
+        }
+    }
+
+    #[test]
     fn one_domain_model_is_tiny_but_complete() {
         let cfg = ProtocolConfig {
             domains: 1,
@@ -1369,7 +1322,7 @@ mod tests {
         };
         let result = explore(&cfg, &reduced()).unwrap();
         assert!(result.passed());
-        assert!(result.completed_runs >= 1);
+        assert!(result.completed >= 1);
     }
 
     #[test]

@@ -102,7 +102,7 @@ lint fleet
 # The rh-fleet simulator's wave driver must satisfy the same invariants
 # under crash interleavings (it is the rule the datacenter campaigns run).
 lint fleet --driver wave --hosts 5 --max-down 2 --crashes 2
-must_fail_citing "I7 single-recovery" lint fleet --buggy-overlap
+must_fail_citing "I7 single-recovery" lint fleet --driver buggy-overlap
 
 echo "==> rh-lint postcopy (stream-in invariants P1/P2, DESIGN.md §15)"
 lint postcopy
