@@ -1,9 +1,8 @@
 //! Engine-throughput suite behind the `corebench` binary.
 //!
-//! Where [`runner`](crate::runner) times whole experiments, this module
-//! times the *simulator substrate* — the DES hot path and the rh-memory
-//! digest machinery — and turns the timings into the headline numbers
-//! tracked in `BENCH_core.json` (see PERFORMANCE.md):
+//! This module times the *simulator substrate* — the DES hot path and the
+//! rh-memory digest machinery — and turns the timings into the headline
+//! numbers tracked in `BENCH_core.json` (see PERFORMANCE.md):
 //!
 //! * `events_per_sec` / `ns_per_event` — self-scheduling event chain
 //!   through the general engine (binary-heap queue, slab slots);

@@ -24,11 +24,6 @@
 //! `BENCH_repro.json` run records (string escaping, NaN→null hardening,
 //! and a validating parser for whole-file tests).
 //!
-//! The [`runner`] module is the in-repo micro-benchmark harness (warmup +
-//! timed iterations, median/p95, table + JSON output) driving the
-//! `microbench` binary — the hermetic replacement for the former Criterion
-//! benches (README §"Hermetic build").
-//!
 //! The [`core`] module is the engine-throughput suite behind the
 //! `corebench` binary: fixed-size DES and digest workloads, the
 //! `BENCH_core.json` document, and the regression gate that
@@ -58,7 +53,6 @@ pub mod fleet;
 pub mod frontier;
 pub mod json;
 pub mod reliability;
-pub mod runner;
 pub mod sec52;
 pub mod sec53;
 pub mod sec56;

@@ -1,9 +1,8 @@
 //! Diagnostic records and rendering (aligned table + JSON).
 //!
-//! Output mirrors the `rh_bench::runner::Report` conventions: an aligned
-//! human-readable table whose column widths adapt to the data, and a
-//! hand-rolled JSON array with the standard control/quote escapes — the
-//! hermetic build (README §"Hermetic build") has no serde.
+//! Output is an aligned human-readable table whose column widths adapt to
+//! the data, and a hand-rolled JSON array with the standard control/quote
+//! escapes — the hermetic build (README §"Hermetic build") has no serde.
 
 use std::fmt;
 

@@ -18,7 +18,6 @@
 //! * [`slab`] — the generational slab allocator backing event payloads,
 //! * [`resource`] — a processor-sharing resource (disk/CPU contention) and
 //!   the [`resource::Retick`] wake-up helper,
-//! * [`queue`] — a FIFO multi-server resource (ablation counterpart),
 //! * [`histogram`] — log-bucketed latency histograms,
 //! * [`pool`] — a deterministic scoped worker pool (indexed tasks,
 //!   submission-order assembly, byte-identical output at any job count),
@@ -77,7 +76,6 @@ pub mod engine;
 pub mod flat;
 pub mod histogram;
 pub mod pool;
-pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod series;

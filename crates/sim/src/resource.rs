@@ -41,8 +41,7 @@ use std::fmt;
 use crate::engine::{EventHandle, Scheduler};
 use crate::time::{SimDuration, SimTime};
 
-/// Identifies a job submitted to a [`PsResource`] or
-/// [`FifoResource`](crate::queue::FifoResource).
+/// Identifies a job submitted to a [`PsResource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
