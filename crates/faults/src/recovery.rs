@@ -65,13 +65,6 @@ impl RecoveryConfig {
             settle_cap: SimDuration::from_secs(2 * 3600),
         }
     }
-
-    /// Overrides the watchdog tick, builder-style.
-    #[must_use]
-    pub fn with_watchdog(mut self, tick: SimDuration) -> Self {
-        self.watchdog = tick;
-        self
-    }
 }
 
 /// One handled VMM-failure incident.

@@ -90,11 +90,6 @@ impl FileSystem {
         }
     }
 
-    /// The file set.
-    pub fn file_set(&self) -> FileSet {
-        self.set
-    }
-
     /// Number of chunks per file.
     pub fn chunks_per_file(&self) -> u32 {
         self.set.file_bytes.div_ceil(self.chunk_bytes) as u32

@@ -272,12 +272,6 @@ impl HostConfig {
         self
     }
 
-    /// Overrides the timing parameters.
-    pub fn with_timing(mut self, timing: TimingParams) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// Overrides the streamed-restore working-set fraction (clamped to
     /// `(0, 1]`; a full working set makes Streamed behave like Saved).
     pub fn with_stream_working_set(mut self, fraction: f64) -> Self {

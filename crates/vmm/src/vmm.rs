@@ -198,11 +198,6 @@ impl Vmm {
         &self.xenstored
     }
 
-    /// Mutable xenstored access (for aging injection).
-    pub fn xenstored_mut(&mut self) -> &mut XenStored {
-        &mut self.xenstored
-    }
-
     /// The xexec staging slot.
     pub fn xexec(&self) -> &XexecState {
         &self.xexec
@@ -608,12 +603,6 @@ impl Vmm {
     /// Digest of a domain's memory in pseudo-physical order.
     pub fn domain_digest(&self, dom: &Domain, contents: &FrameContents) -> u64 {
         logical_digest(&dom.p2m, contents)
-    }
-
-    /// Total pseudo-physical pages mapped across `domains` — may exceed
-    /// machine memory under ballooning.
-    pub fn total_mapped_pages(domains: &BTreeMap<DomainId, Domain>) -> u64 {
-        domains.values().map(|d| d.p2m.total_pages()).sum()
     }
 
     /// Checks cross-domain machine-frame disjointness — no frame may belong
