@@ -18,7 +18,8 @@
 //!    or is aborted,
 //! 2. after *any* mutation, asks [`PsResource::next_completion`] and
 //!    (re)schedules a single wake-up event at that time (the [`Retick`]
-//!    helper manages the cancel/reschedule dance),
+//!    helper manages the cancel/reschedule dance, and leaves a pending
+//!    wake-up alone when it is already due at that time),
 //! 3. on wake-up, calls [`PsResource::take_completed`] and dispatches each
 //!    finished [`JobId`] to its purpose.
 //!
@@ -348,43 +349,65 @@ impl PsResource {
 /// [`reschedule`](Retick::reschedule) after every mutation; the helper
 /// cancels the previous wake-up and schedules the new one (or none if the
 /// resource went idle).
+///
+/// Most mutations leave the earliest completion where it was: a request
+/// that hits the page cache adds no disk work, yet its handler re-arms the
+/// disk wake. So `Retick` remembers the instant it armed, and a re-arm to
+/// that same instant while the wake is still pending does nothing: no
+/// cancel, no new queue entry for the scheduler to skim later. A re-arm to
+/// any other instant, even one microsecond away, moves the wake as before.
+///
+/// # Ordering
+///
+/// The scheduler fires events of one instant in the order they were
+/// scheduled. A skipped re-arm keeps the wake's place among them, where a
+/// cancel and re-schedule would have moved it behind every event
+/// scheduled for that instant since it was armed.
 #[derive(Debug, Default)]
 pub struct Retick {
-    handle: Option<EventHandle>,
+    /// The armed wake-up and the instant it was scheduled for.
+    armed: Option<(EventHandle, SimTime)>,
 }
 
 impl Retick {
     /// Creates an unarmed helper.
     pub fn new() -> Self {
-        Retick { handle: None }
+        Retick { armed: None }
     }
 
-    /// Cancels the current wake-up (if armed) and, when `at` is `Some`,
-    /// schedules `make()` at that instant.
+    /// Arms the wake-up for `at`, or disarms it when `at` is `None`.
+    ///
+    /// When the pending wake-up is already due at `at`, it stays as it is
+    /// and `make` is not called. Otherwise the current wake-up (if armed)
+    /// is cancelled and, when `at` is `Some`, `make()` is scheduled at
+    /// that instant.
     pub fn reschedule<E>(
         &mut self,
         sched: &mut Scheduler<E>,
         at: Option<SimTime>,
         make: impl FnOnce() -> E,
     ) {
-        if let Some(h) = self.handle.take() {
-            sched.cancel(h);
+        if let (Some((handle, armed_at)), Some(t)) = (self.armed, at) {
+            if armed_at == t && sched.is_pending(handle) {
+                return;
+            }
         }
+        self.disarm(sched);
         if let Some(t) = at {
-            self.handle = Some(sched.schedule_at(t, make()));
+            self.armed = Some((sched.schedule_at(t, make()), t));
         }
     }
 
     /// Cancels the current wake-up without scheduling a new one.
     pub fn disarm<E>(&mut self, sched: &mut Scheduler<E>) {
-        if let Some(h) = self.handle.take() {
-            sched.cancel(h);
+        if let Some((handle, _)) = self.armed.take() {
+            sched.cancel(handle);
         }
     }
 
     /// True if a wake-up is currently armed.
     pub fn is_armed(&self) -> bool {
-        self.handle.is_some()
+        self.armed.is_some()
     }
 }
 
@@ -538,28 +561,63 @@ mod tests {
         r.advance(t(1.0));
     }
 
+    /// A world that records every event it fires, with the instant.
+    #[derive(Default)]
+    struct Recorder {
+        fired: Vec<(SimTime, u32)>,
+    }
+
+    impl crate::engine::World for Recorder {
+        type Event = u32;
+        fn handle(&mut self, s: &mut Scheduler<u32>, e: u32) {
+            self.fired.push((s.now(), e));
+        }
+    }
+
     #[test]
     fn retick_replaces_pending_event() {
-        use crate::engine::{Scheduler, Simulation, World};
-
-        #[derive(Default)]
-        struct W {
-            fired: Vec<u32>,
-        }
-        impl World for W {
-            type Event = u32;
-            fn handle(&mut self, _s: &mut Scheduler<u32>, e: u32) {
-                self.fired.push(e);
-            }
-        }
-        let mut sim = Simulation::new(W::default());
+        let mut sim = crate::engine::Simulation::new(Recorder::default());
         let mut retick = Retick::new();
         retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 1);
         assert!(retick.is_armed());
+        sim.scheduler_mut().schedule_at(t(1.5), 9);
         retick.reschedule(sim.scheduler_mut(), Some(t(2.0)), || 2);
+        assert_eq!(sim.scheduler().pending(), 2);
         sim.run_until_idle();
-        // Only the second event fires.
-        assert_eq!(sim.world().fired, vec![2]);
+        // The wake moved to the new instant; only the second event fires.
+        assert_eq!(sim.world().fired, vec![(t(1.5), 9), (t(2.0), 2)]);
+    }
+
+    #[test]
+    fn retick_same_instant_rearm_keeps_the_pending_wake() {
+        let mut sim = crate::engine::Simulation::new(Recorder::default());
+        let mut retick = Retick::new();
+        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 1);
+        sim.scheduler_mut().schedule_at(t(1.0), 9);
+        assert_eq!(sim.scheduler().pending(), 2);
+        for _ in 0..3 {
+            retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || {
+                panic!("a re-arm to the armed instant must not schedule")
+            });
+            assert_eq!(sim.scheduler().pending(), 2);
+        }
+        sim.run_until_idle();
+        // The wake fires once, still ahead of the event scheduled after it.
+        assert_eq!(sim.world().fired, vec![(t(1.0), 1), (t(1.0), 9)]);
+    }
+
+    #[test]
+    fn retick_rearms_a_fired_wake_even_at_the_same_instant() {
+        let mut sim = crate::engine::Simulation::new(Recorder::default());
+        let mut retick = Retick::new();
+        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 1);
+        sim.run_until(t(1.0));
+        assert_eq!(sim.world().fired, vec![(t(1.0), 1)]);
+        // Still armed for t = 1, but that wake has fired: schedule anew.
+        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 2);
+        assert_eq!(sim.scheduler().pending(), 1);
+        sim.run_until_idle();
+        assert_eq!(sim.world().fired, vec![(t(1.0), 1), (t(1.0), 2)]);
     }
 
     #[test]
@@ -578,6 +636,7 @@ mod tests {
         retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || ());
         retick.disarm(sim.scheduler_mut());
         assert!(!retick.is_armed());
+        assert_eq!(sim.scheduler().pending(), 0);
         sim.run_until_idle();
     }
 }

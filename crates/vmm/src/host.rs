@@ -64,6 +64,7 @@ use rh_storage::partition::{PartitionId, PartitionTable};
 use crate::config::{HostConfig, Image, RebootStrategy, Reload, Resume, SuspendOrder};
 use crate::domain::{Domain, DomainId, ExecState};
 use crate::fault::{FaultAction, FaultContext, FaultHook, InjectPoint};
+use crate::idmap::IdMap;
 use crate::metrics::RebootMetrics;
 use crate::timing::TimingParams;
 use crate::vmm::{Vmm, VmmError};
@@ -300,9 +301,9 @@ pub struct Host {
     cpu_wake: Retick,
     net: PsResource,
     net_wake: Retick,
-    disk_jobs: BTreeMap<JobId, DiskPurpose>,
-    cpu_jobs: BTreeMap<JobId, DomainId>,
-    net_jobs: BTreeMap<JobId, u64>,
+    disk_jobs: IdMap<JobId, DiskPurpose>,
+    cpu_jobs: IdMap<JobId, DomainId>,
+    net_jobs: IdMap<JobId, u64>,
     work: BTreeMap<DomainId, WorkState>,
     run: Option<RebootRun>,
     saved: BTreeMap<DomainId, SavedDomain>,
@@ -317,7 +318,7 @@ pub struct Host {
     meters: BTreeMap<DomainId, DowntimeMeter>,
     probes: BTreeMap<DomainId, ProbeLog>,
     httperf: Option<(DomainId, HttperfClient)>,
-    requests: BTreeMap<u64, Request>,
+    requests: IdMap<u64, Request>,
     next_req: u64,
     /// Pending guest file reads: start, logical bytes, and the memory-copy
     /// tail still owed after any disk stage (zero on the cache-miss path).
@@ -403,9 +404,9 @@ impl Host {
             disk_wake: Retick::new(),
             cpu_wake: Retick::new(),
             net_wake: Retick::new(),
-            disk_jobs: BTreeMap::new(),
-            cpu_jobs: BTreeMap::new(),
-            net_jobs: BTreeMap::new(),
+            disk_jobs: IdMap::new(),
+            cpu_jobs: IdMap::new(),
+            net_jobs: IdMap::new(),
             work: BTreeMap::new(),
             run: None,
             saved: BTreeMap::new(),
@@ -415,7 +416,7 @@ impl Host {
             meters,
             probes,
             httperf: None,
-            requests: BTreeMap::new(),
+            requests: IdMap::new(),
             next_req: 0,
             file_reads: BTreeMap::new(),
             file_read_results: Vec::new(),
@@ -1061,13 +1062,12 @@ impl Host {
         self.rearm_disk(sched);
         self.rearm_cpu(sched);
         self.rearm_net(sched);
-        let stale: Vec<u64> = self.requests.keys().copied().collect();
-        for rid in stale {
-            self.requests.remove(&rid);
-            if let Some((_, client)) = self.httperf.as_mut() {
+        if let Some((_, client)) = self.httperf.as_mut() {
+            for _ in self.requests.iter() {
                 client.abort();
             }
         }
+        self.requests.clear();
         self.file_reads.clear();
         self.streaming.clear();
         self.pending_snapshots.clear();
@@ -1462,7 +1462,7 @@ impl Host {
     fn on_disk_wake(&mut self, sched: &mut Scheduler<HostEvent>) {
         let done = self.disk.take_completed(sched.now());
         for job in done {
-            match self.disk_jobs.remove(&job) {
+            match self.disk_jobs.remove(job) {
                 Some(DiskPurpose::Work(id)) => self.work_shared_done(sched, id, true),
                 Some(DiskPurpose::SaveImage(id)) => self.on_save_written(sched, id),
                 Some(DiskPurpose::RestoreImage(id)) => self.on_restore_read(sched, id),
@@ -1479,7 +1479,7 @@ impl Host {
     fn on_cpu_wake(&mut self, sched: &mut Scheduler<HostEvent>) {
         let done = self.cpu.take_completed(sched.now());
         for job in done {
-            if let Some(id) = self.cpu_jobs.remove(&job) {
+            if let Some(id) = self.cpu_jobs.remove(job) {
                 self.work_shared_done(sched, id, false);
             }
         }
@@ -1489,7 +1489,7 @@ impl Host {
     fn on_net_wake(&mut self, sched: &mut Scheduler<HostEvent>) {
         let done = self.net.take_completed(sched.now());
         for job in done {
-            if let Some(rid) = self.net_jobs.remove(&job) {
+            if let Some(rid) = self.net_jobs.remove(job) {
                 self.on_request_net_done(sched, rid);
             }
         }
@@ -2562,7 +2562,7 @@ impl Host {
     }
 
     fn on_request_disk_done(&mut self, sched: &mut Scheduler<HostEvent>, rid: u64) {
-        let Some(req) = self.requests.get(&rid).copied() else {
+        let Some(req) = self.requests.get(rid).copied() else {
             return;
         };
         let job = self.net.submit(sched.now(), req.bytes as f64);
@@ -2573,7 +2573,7 @@ impl Host {
     fn on_request_net_done(&mut self, sched: &mut Scheduler<HostEvent>, rid: u64) {
         let now = sched.now();
         let overhead = self.t.request_overhead;
-        if let Some(req) = self.requests.remove(&rid) {
+        if let Some(req) = self.requests.remove(rid) {
             self.latencies.record(now + overhead - req.issued);
             if let Some((_, client)) = self.httperf.as_mut() {
                 client.complete(now + overhead);
@@ -2588,7 +2588,7 @@ impl Host {
             .requests
             .iter()
             .filter(|(_, r)| r.dom == id)
-            .map(|(&rid, _)| rid)
+            .map(|(rid, _)| rid)
             .collect();
         if stale.is_empty() {
             return;
@@ -2597,24 +2597,24 @@ impl Host {
             .disk_jobs
             .iter()
             .filter(|(_, p)| matches!(p, DiskPurpose::RequestMiss(rid) if stale.contains(rid)))
-            .map(|(&j, _)| j)
+            .map(|(j, _)| j)
             .collect();
         for j in disk_jobs {
             self.disk.cancel(now, j);
-            self.disk_jobs.remove(&j);
+            self.disk_jobs.remove(j);
         }
         let net_jobs: Vec<JobId> = self
             .net_jobs
             .iter()
             .filter(|(_, rid)| stale.contains(rid))
-            .map(|(&j, _)| j)
+            .map(|(j, _)| j)
             .collect();
         for j in net_jobs {
             self.net.cancel(now, j);
-            self.net_jobs.remove(&j);
+            self.net_jobs.remove(j);
         }
         for rid in stale {
-            self.requests.remove(&rid);
+            self.requests.remove(rid);
             if let Some((_, client)) = self.httperf.as_mut() {
                 client.abort();
             }

@@ -49,6 +49,7 @@ pub mod fault;
 pub mod harness;
 pub mod host;
 pub mod hypercall;
+mod idmap;
 pub mod metrics;
 pub mod timing;
 pub mod vmm;

@@ -252,7 +252,9 @@ fn rejuvenation_plans_satisfy_constraints() {
 /// The LRU page cache agrees with a naive reference model under
 /// arbitrary access/insert/clear interleavings, at capacities from none
 /// (including one smaller than a chunk) to 20 chunks and key ranges from
-/// a handful to a few thousand chunks.
+/// a handful to a few thousand chunks. File ids are dense from 0 half the
+/// time, and otherwise sparse up to 10,000 (the Fig. 8(b) corpus), which
+/// grows the cache's slot table in jumps.
 #[test]
 fn page_cache_matches_reference_lru() {
     check(
@@ -268,9 +270,15 @@ fn page_cache_matches_reference_lru() {
             let mut cache =
                 PageCache::with_chunk_size(capacity_chunks as u64 * CHUNK + slack, CHUNK);
             let (files, chunks) = (g.u32_in(1, 64), g.u32_in(1, 48));
+            let file_ids: Vec<u32> = if g.any_bool() {
+                (0..files).collect()
+            } else {
+                (0..files).map(|_| g.u32_in(0, 10_001)).collect()
+            };
             // 0 = clear, 1..=19 = insert, 20..40 = access.
             let ops = g.vec_of(1, 300, |g| {
-                (g.u32_in(0, 40), g.u32_in(0, files), g.u32_in(0, chunks))
+                let file = file_ids[g.usize_in(0, file_ids.len())];
+                (g.u32_in(0, 40), file, g.u32_in(0, chunks))
             });
             // Reference: Vec kept in LRU order (front = oldest).
             let mut model: Vec<ChunkKey> = Vec::new();
