@@ -5,11 +5,14 @@
 //! experiments (and our ablations) turn.
 
 use rh_guest::services::ServiceKind;
+use rh_memory::frame::{frames_for_bytes, PAGE_SIZE};
+use rh_memory::heap::VmmHeap;
 use rh_obs::Phase;
 use rh_sim::time::SimDuration;
 
 use crate::domain::DomainSpec;
 use crate::timing::TimingParams;
+use crate::vmm::{HEAP_PER_DOMAIN, VMM_RESERVED_FRAMES};
 
 /// The VMM rejuvenation strategies: the paper's three plus two
 /// disk-image refinements (streamed post-copy restore and incremental
@@ -295,6 +298,45 @@ impl HostConfig {
     pub fn ram_gib(&self) -> f64 {
         self.ram_bytes as f64 / (1u64 << 30) as f64
     }
+
+    /// Checks that the VMM can allocate every guest domain at power-on.
+    ///
+    /// The VMM boot reserves [`VMM_RESERVED_FRAMES`] of the installed RAM
+    /// for itself, and creating a domain takes [`HEAP_PER_DOMAIN`] of the
+    /// VMM heap plus the domain's whole memory in free frames. A domain
+    /// set that does not fit would otherwise fail the power-on, so the
+    /// error names the shortfall.
+    pub fn validate(&self) -> Result<(), String> {
+        let mib = |frames: u64| (frames * PAGE_SIZE) as f64 / f64::from(1u32 << 20);
+        let total = frames_for_bytes(self.ram_bytes);
+        let reserved = VMM_RESERVED_FRAMES.min(total);
+        let free = total - reserved;
+        let needed: u64 = self.domains.iter().map(|d| d.mem_bytes / PAGE_SIZE).sum();
+        if needed > free {
+            return Err(format!(
+                "{} guest domains need {} MiB of memory, but {} MiB of RAM leave {} MiB \
+                 once the VMM reserves {} MiB: {} MiB short",
+                self.domains.len(),
+                mib(needed),
+                mib(total),
+                mib(free),
+                mib(reserved),
+                mib(needed - free)
+            ));
+        }
+        let heap = VmmHeap::xen_default().capacity();
+        let heap_needed = self.domains.len() as u64 * HEAP_PER_DOMAIN;
+        if heap_needed > heap {
+            return Err(format!(
+                "{} guest domains need {} KiB of VMM heap, but the heap holds {} KiB: {} KiB short",
+                self.domains.len(),
+                heap_needed >> 10,
+                heap >> 10,
+                (heap_needed - heap) >> 10
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for HostConfig {
@@ -338,6 +380,37 @@ mod tests {
         assert!(!c.trace);
         assert!(c.probes);
         assert_eq!(c.suspend_order, SuspendOrder::Dom0DuringShutdown);
+    }
+
+    #[test]
+    fn validate_rejects_a_domain_set_that_does_not_fit() {
+        // Eleven 1 GiB guests fit the 12 GiB testbed beside the VMM's
+        // 64 MiB; a twelfth does not.
+        let eleven = HostConfig::paper_testbed().with_vms(11, ServiceKind::Ssh);
+        assert_eq!(eleven.validate(), Ok(()));
+        let twelve = eleven.with_vms(1, ServiceKind::Ssh);
+        assert_eq!(
+            twelve.validate(),
+            Err(
+                "12 guest domains need 12288 MiB of memory, but 12288 MiB of RAM leave \
+                 12224 MiB once the VMM reserves 64 MiB: 64 MiB short"
+                    .to_string()
+            )
+        );
+        // The heap runs out at 257 domains of any size.
+        let tiny = DomainSpec::standard("tiny", ServiceKind::Ssh).with_mem_bytes(1 << 20);
+        let mut many = HostConfig::paper_testbed();
+        many.domains = vec![tiny; 257];
+        assert_eq!(
+            many.validate(),
+            Err(
+                "257 guest domains need 16448 KiB of VMM heap, but the heap holds 16384 KiB: \
+                 64 KiB short"
+                    .to_string()
+            )
+        );
+        many.domains.pop();
+        assert_eq!(many.validate(), Ok(()));
     }
 
     #[test]
