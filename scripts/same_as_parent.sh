@@ -16,11 +16,16 @@
 # Compared, in order: `all --jobs 2`; `all --jobs 2 --max-n 3 --quick` and
 # its `--trace-jsonl` file; `frontier`, `faults`, `fleetbench` and
 # `cellbench` with `--quick`; `ablations`; `rhctl reboot --strategy S
-# --vms 4 --service ssh` for all five strategies; and the `rh-lint` model
-# checkers (`protocol`, `fleet`, `postcopy`, `balloon`), whose stdout,
-# stderr and exit status must all match: passing runs, counterexample runs
-# (exit 1) in text and `--json`, `--no-reduce` and `--jobs 4` runs, and
-# usage errors (exit 2).
+# --vms 4 --service ssh` for all five strategies. Then, on stdout, stderr
+# and exit status: every other bench binary with no arguments (`fig2`,
+# `fig4`-`fig9`, `sec52`, `sec53`, `sec56`, `reliability`), `rhctl crash
+# --vms 4`, `rhctl policy` and `rhctl plan`; one usage error per flag
+# parser (`--jobs x` for `fig4`, `fig5`, `fig6`, `sec56` and `ablations`,
+# `--bogus` for `faults`, `frontier`, `fleetbench` and `cellbench`, and
+# `rhctl bogus`); and the `rh-lint` model checkers (`protocol`, `fleet`,
+# `postcopy`, `balloon`): passing runs, counterexample runs (exit 1) in
+# text and `--json`, `--no-reduce` and `--jobs 4` runs, and usage errors
+# (exit 2).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -96,6 +101,20 @@ same ablations ablations
 for strategy in warm saved cold streamed incremental; do
     same "rhctl-$strategy" rhctl reboot --strategy "$strategy" --vms 4 --service ssh
 done
+for bin in fig2 fig4 fig5 fig6 fig7 fig8 fig9 sec52 sec53 sec56 reliability; do
+    same_status "$bin" "$bin"
+done
+same_status rhctl-crash rhctl crash --vms 4
+same_status rhctl-policy rhctl policy
+same_status rhctl-plan rhctl plan
+# Usage errors: one per flag parser.
+for bin in fig4 fig5 fig6 sec56 ablations; do
+    same_status "$bin-usage" "$bin" --jobs x
+done
+for bin in faults frontier fleetbench cellbench; do
+    same_status "$bin-usage" "$bin" --bogus
+done
+same_status rhctl-usage rhctl bogus
 
 # checker NAME ARGS...: one rh-lint checker run, compared with its status.
 n=0
