@@ -5,7 +5,7 @@
 //! numbers tracked in `BENCH_core.json` (see PERFORMANCE.md):
 //!
 //! * `events_per_sec` / `ns_per_event` — self-scheduling event chain
-//!   through the general engine (binary-heap queue, slab slots);
+//!   through the one event core (a binary heap with inline payloads);
 //! * `digest_frames_per_sec` — full `logical_digest` rehash throughput;
 //! * `digest_early_out_ops_per_sec` — `FrameContents::unchanged_since`
 //!   probes, the dirty-log check behind incremental saves' dirty-extent
@@ -52,7 +52,6 @@ use rh_memory::machine::MachineMemory;
 use rh_memory::p2m::P2mTable;
 use rh_net::httperf::{AccessPattern, HttperfClient};
 use rh_sim::engine::{Scheduler, Simulation, World};
-use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
 use rh_sim::time::{SimDuration, SimTime};
 use rh_storage::image::logical_digest;
 use rh_vmm::config::HostConfig;
@@ -61,7 +60,7 @@ use rh_vmm::harness::HostSim;
 
 /// Events per chain workload.
 const CHAIN_EVENTS: u64 = 200_000;
-/// Events scheduled (half then cancelled) per churn workload.
+/// Entries queued (every second one stale) per churn workload.
 const CHURN_EVENTS: u64 = 50_000;
 /// Frames in the digest workload's guest (256 MiB at 4 KiB/frame).
 const DIGEST_FRAMES: u64 = 65_536;
@@ -106,8 +105,8 @@ impl CoreBenchResult {
     }
 }
 
-/// A self-scheduling chain through the general engine: the purest
-/// back-to-back schedule→pop→dispatch loop the host world drives.
+/// A self-scheduling chain through the event core: the purest
+/// back-to-back schedule→pop→dispatch loop every world drives.
 struct Chain {
     remaining: u64,
 }
@@ -122,17 +121,25 @@ impl World for Chain {
     }
 }
 
-struct FlatChain {
+/// A chain that queues a stale entry ahead of every live one, the shape
+/// of a host wake that moved: the world's liveness hook drops every second
+/// entry unfired. The event says whether the entry is live.
+struct StaleChain {
     remaining: u64,
 }
 
-impl FlatWorld for FlatChain {
-    type Event = ();
-    fn handle(&mut self, sched: &mut FlatScheduler<()>, _ev: ()) {
+impl World for StaleChain {
+    type Event = bool;
+    fn handle(&mut self, sched: &mut Scheduler<bool>, _live: bool) {
         if self.remaining > 0 {
             self.remaining -= 1;
-            sched.schedule_in(SimDuration::from_micros(1), ());
+            sched.schedule_in(SimDuration::from_micros(1), false);
+            sched.schedule_in(SimDuration::from_micros(1), true);
         }
+    }
+
+    fn is_live(&self, live: &bool) -> bool {
+        *live
     }
 }
 
@@ -145,28 +152,14 @@ fn chain() -> u64 {
     sim.scheduler().fired()
 }
 
-fn flat_chain() -> u64 {
-    let mut sim = FlatSimulation::new(FlatChain {
-        remaining: CHAIN_EVENTS,
-    });
-    sim.scheduler_mut().schedule_in(SimDuration::ZERO, ());
-    sim.run_until_idle();
-    sim.scheduler().fired()
-}
-
-/// Schedule-then-cancel churn: every second event is cancelled, so the
-/// stale-entry skim and the slab free list both stay hot.
+/// Stale-entry churn: [`CHURN_EVENTS`] entries through a [`StaleChain`],
+/// so the stale-entry skim stays hot.
 fn churn() -> u64 {
-    let mut sim = Simulation::new(Chain { remaining: 0 });
-    let handles: Vec<_> = (0..CHURN_EVENTS)
-        .map(|i| {
-            sim.scheduler_mut()
-                .schedule_at(SimTime::from_micros(i + 1), ())
-        })
-        .collect();
-    for h in handles.iter().step_by(2) {
-        sim.scheduler_mut().cancel(*h);
-    }
+    let mut sim = Simulation::new(StaleChain {
+        remaining: CHURN_EVENTS / 2 - 1,
+    });
+    sim.scheduler_mut().schedule_in(SimDuration::ZERO, false);
+    sim.scheduler_mut().schedule_in(SimDuration::ZERO, true);
     sim.run_until_idle();
     sim.scheduler().fired()
 }
@@ -227,7 +220,6 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
     };
 
     timed("engine/chain/heap", CHAIN_EVENTS, "events", &mut || chain());
-    timed("flat/chain", CHAIN_EVENTS, "events", &mut || flat_chain());
     timed("engine/churn/heap", CHURN_EVENTS, "events", &mut || churn());
 
     let (p2m, contents) = digest_fixture();
@@ -254,7 +246,7 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
 
     // A steady-state fleet workload (arrivals, placements, departures,
     // aging crashes across FLEET_HOSTS cells) — the rh-fleet layer's
-    // cost on top of the flat core. One untimed run counts the events.
+    // cost on top of the event core. One untimed run counts the events.
     let fleet_events = fleet_steady();
     timed("fleet/steady", fleet_events, "events", &mut || {
         fleet_steady()
@@ -630,7 +622,6 @@ mod tests {
         let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"engine/chain/heap"));
         assert!(names.contains(&"engine/churn/heap"));
-        assert!(names.contains(&"flat/chain"));
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));
         assert!(names.contains(&"fleet/campaign"));

@@ -12,9 +12,10 @@
 //!
 //! * **I6 capacity-floor** — at least `hosts - max_down` hosts serve in
 //!   every reachable interleaving (the [`ScheduleConstraints`] floor,
-//!   ROADMAP item 1's SLA requirement), and
+//!   DESIGN.md §14 "The fleet model"), and
 //! * **I7 single-recovery** — no host starts a second reboot while its
-//!   crash recovery is still in flight (ROADMAP item 4's invariant).
+//!   crash recovery is still in flight (DESIGN.md §14 "The fleet
+//!   model").
 //!
 //! Two drivers ship: [`SerialDriver`], the correct rule (strictly ordered,
 //! recovery-aware), and [`OverlapBugDriver`], a deliberately wrong

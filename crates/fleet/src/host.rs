@@ -51,7 +51,7 @@ pub struct HostCell {
     pub stage: CellStage,
     /// Bumped on every stage change; in-flight timer events carry the
     /// epoch they were scheduled under and ignore themselves when stale
-    /// (the flat scheduler has no cancellation).
+    /// (the event core cannot cancel).
     pub epoch: u32,
     /// Outstanding evacuation migrations off this host.
     pub evac_pending: u32,

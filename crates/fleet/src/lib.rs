@@ -8,7 +8,7 @@
 //! is a coarse [`host::HostCell`] whose reboot and recovery durations come
 //! from the calibrated [`rh_rejuv::model`] closed forms, so a 5,000-host
 //! run with a million VM lifecycle events finishes in seconds on the
-//! [`rh_sim::flat`] event core.
+//! [`rh_sim::engine`] event core.
 //!
 //! The moving parts (DESIGN.md §16):
 //!

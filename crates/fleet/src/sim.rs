@@ -1,4 +1,4 @@
-//! The fleet simulation: thousands of [`HostCell`]s on the flat event core.
+//! The fleet simulation: thousands of [`HostCell`]s on `rh_sim`'s event core.
 //!
 //! One [`FleetWorld`] drives the whole datacenter: VM arrivals flow from a
 //! [`WorkloadReader`] through the active [`PlacementAlgorithm`] into the
@@ -15,14 +15,16 @@
 //! latency is modeled as one microsecond per host probed — a determinism-
 //! safe stand-in for a central store's lookup cost.
 //!
-//! The flat scheduler has no cancellation, so every host timer carries the
-//! [`HostCell::epoch`] it was scheduled under and ignores itself if the
-//! host has since moved on.
+//! The scheduler cannot cancel, so every host timer carries the
+//! [`HostCell::epoch`] it was scheduled under and ignores itself in
+//! `handle` if the host has since moved on. The world keeps
+//! [`World::is_live`]'s default, so an ignored timer still counts in
+//! [`FleetReport::events`].
 
 use rh_cluster::driver::{CampaignDriver, FleetView, HostPhase};
 use rh_cluster::migration::MigrationModel;
 use rh_obs::metrics::Metrics;
-use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
+use rh_sim::engine::{Scheduler, Simulation, World};
 use rh_sim::rng::SimRng;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::RebootStrategy;
@@ -34,7 +36,8 @@ use crate::placement::{Decision, PlacementAlgorithm, PlacementQuery};
 use crate::store::{PlacementStore, VmState};
 use crate::workload::{SyntheticWorkload, VmArrival, WorkloadReader};
 
-/// The fleet's event vocabulary (small and `Copy`, per the flat core).
+/// The fleet's event vocabulary (small and `Copy`: each event rides inline
+/// in its queue entry).
 #[derive(Debug, Clone, Copy)]
 pub enum FleetEvent {
     /// The staged workload arrival is due.
@@ -78,7 +81,7 @@ pub enum FleetEvent {
     CampaignStart,
 }
 
-/// The datacenter state driven by the flat scheduler.
+/// The datacenter state driven by the event core.
 pub struct FleetWorld {
     cfg: FleetConfig,
     horizon_end: SimTime,
@@ -251,7 +254,7 @@ impl FleetWorld {
     }
 
     /// Arms the next aging crash for `host` under its current epoch.
-    fn arm_crash(&mut self, sched: &mut FlatScheduler<FleetEvent>, host: u32) {
+    fn arm_crash(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
         let Some(aging) = self.cfg.aging else { return };
         let dt = self.crash_rng.exponential(aging.mtbf.as_secs_f64());
         let at = sched.now() + SimDuration::from_secs_f64(dt);
@@ -262,7 +265,7 @@ impl FleetWorld {
     }
 
     /// Suspends `host`'s resident VMs and starts its campaign reboot.
-    fn begin_reboot(&mut self, sched: &mut FlatScheduler<FleetEvent>, host: u32) {
+    fn begin_reboot(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
         self.count_pair_losses(host);
         let n = self.store.resident(host);
         self.down_vms += i64::from(n);
@@ -284,7 +287,7 @@ impl FleetWorld {
     }
 
     /// Starts draining `host` via live migration ahead of its reboot.
-    fn begin_evac(&mut self, sched: &mut FlatScheduler<FleetEvent>, host: u32) {
+    fn begin_evac(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
         let cell = &mut self.cells[host as usize];
         debug_assert_eq!(cell.stage, CellStage::Serving);
         cell.stage = CellStage::Evacuating;
@@ -327,7 +330,7 @@ impl FleetWorld {
     }
 
     /// Polls the wave driver and starts every host it offers.
-    fn poll_campaign(&mut self, sched: &mut FlatScheduler<FleetEvent>) {
+    fn poll_campaign(&mut self, sched: &mut Scheduler<FleetEvent>) {
         let Some(c) = self.cfg.campaign else { return };
         if !self.campaign_active || self.campaign_done {
             return;
@@ -391,10 +394,10 @@ impl FleetWorld {
     }
 }
 
-impl FlatWorld for FleetWorld {
+impl World for FleetWorld {
     type Event = FleetEvent;
 
-    fn handle(&mut self, sched: &mut FlatScheduler<FleetEvent>, event: FleetEvent) {
+    fn handle(&mut self, sched: &mut Scheduler<FleetEvent>, event: FleetEvent) {
         let now = sched.now();
         self.touch(now);
         match event {
@@ -555,7 +558,7 @@ pub struct FleetReport {
 /// consume with [`run`](FleetSimulation::run).
 #[derive(Debug)]
 pub struct FleetSimulation {
-    inner: FlatSimulation<FleetWorld>,
+    inner: Simulation<FleetWorld>,
 }
 
 impl FleetSimulation {
@@ -632,7 +635,7 @@ impl FleetSimulation {
             pair_losses: 0,
             cfg,
         };
-        let mut sim = FlatSimulation::new(world);
+        let mut sim = Simulation::new(world);
         let mut seeds: Vec<(SimTime, FleetEvent)> = Vec::new();
         {
             let w = sim.world_mut();

@@ -1,16 +1,26 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulation engine: the one event core every world
+//! runs on (the host, the fleet, the benchmark chains).
 //!
 //! The engine is deliberately minimal and fully deterministic:
 //!
-//! * A [`Scheduler`] keeps a priority queue of pending events. Ties at the
-//!   same instant are broken by insertion order (a monotonically increasing
-//!   sequence number), so the firing order never depends on hash ordering or
-//!   allocation addresses.
-//! * Application state implements [`World`]; its single `handle` method
-//!   receives each fired event together with mutable access to the scheduler
-//!   so that it can schedule follow-up events or cancel pending ones.
+//! * A [`Scheduler`] keeps a binary min-heap of pending events. The payload
+//!   rides inside the heap entry beside its `(time, seq)` key, so
+//!   scheduling is one push and firing one pop. Ties at the same instant
+//!   are broken by insertion order (the monotonically increasing `seq`), so
+//!   the firing order never depends on hash ordering or allocation
+//!   addresses.
+//! * Application state implements [`World`]; its `handle` method receives
+//!   each fired event together with mutable access to the scheduler so
+//!   that it can schedule follow-up events.
 //! * Events are plain values of the world's `Event` associated type — not
 //!   closures — which keeps them inspectable, loggable and testable.
+//! * The scheduler cannot cancel. A world whose events can go stale (a
+//!   wake-up timer that moved, a step of an abandoned run) says which ones
+//!   through [`World::is_live`]. The simulation drops a stale entry when it
+//!   reaches the front of the queue, before the clock moves, so the entry
+//!   neither advances [`Scheduler::now`] nor counts in
+//!   [`Scheduler::fired`]. Worlds that never cancel keep the default, which
+//!   compiles away.
 //!
 //! # Examples
 //!
@@ -44,53 +54,48 @@
 //! assert_eq!(sim.world().pongs, 1);
 //! ```
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::slab::{Slab, SlotKey};
 use crate::time::{SimDuration, SimTime};
 
-/// A handle to a scheduled event, usable to [`cancel`](Scheduler::cancel) it
-/// before it fires.
-///
-/// Handles are generation-checked: once the event fires or is cancelled, the
-/// handle becomes stale and further `cancel` calls are harmless no-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle {
-    key: SlotKey,
-}
-
-/// One pending event in the heap: the ordering key plus the slab
-/// coordinates of its payload.
-///
-/// The derived order compares `time`, then `seq`; `seq` is unique per
-/// scheduler, so the slot fields never decide and ties fire FIFO.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct QueueEntry {
+/// A queued event: ordering key plus inline payload.
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    index: u32,
-    generation: u32,
+    event: E,
 }
 
-impl QueueEntry {
-    fn key(&self) -> SlotKey {
-        SlotKey::from_parts(self.index, self.generation)
+// Ordering ignores the payload: `seq` is unique per scheduler, so
+// `(time, seq)` is already a total order and ties fire FIFO.
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
 /// The event queue and clock of a simulation.
 ///
 /// The scheduler is handed to [`World::handle`] so event handlers can query
-/// the current time, schedule follow-ups, and cancel pending events.
-///
-/// Internally, payloads live in a generational [`Slab`] and only small
-/// `Copy` keys move through a binary min-heap ordered by `(time, seq)`.
+/// the current time and schedule follow-ups.
 pub struct Scheduler<E> {
     now: SimTime,
-    queue: BinaryHeap<Reverse<QueueEntry>>,
-    slots: Slab<E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     fired: u64,
 }
@@ -100,8 +105,7 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
-            slots: Slab::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
             fired: 0,
         }
@@ -112,13 +116,17 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// The number of pending (scheduled, not yet fired or cancelled) events.
-    /// O(1): the payload slab tracks its live count.
+    /// The number of queued entries. O(1).
+    ///
+    /// Stale entries are included: one the world has stopped calling live
+    /// stays queued, and counted, until it reaches the front and is
+    /// dropped.
     pub fn pending(&self) -> usize {
-        self.slots.len()
+        self.heap.len()
     }
 
-    /// Total number of events fired so far.
+    /// Total number of events fired so far. Dropped stale entries do not
+    /// count.
     pub fn fired(&self) -> u64 {
         self.fired
     }
@@ -129,71 +137,44 @@ impl<E> Scheduler<E> {
     ///
     /// Panics if `at` is earlier than the current time: the simulation never
     /// travels backwards.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule an event at {at} before now ({})",
             self.now
         );
-        let key = self.slots.insert(event);
         self.seq += 1;
-        self.queue.push(Reverse(QueueEntry {
+        self.heap.push(Reverse(Entry {
             time: at,
             seq: self.seq,
-            index: key.index(),
-            generation: key.generation(),
+            event,
         }));
-        EventHandle { key }
     }
 
     /// Schedules `event` to fire after `delay`.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventHandle {
-        self.schedule_at(self.now + delay, event)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        self.schedule_at(self.now + delay, event);
     }
 
-    /// Cancels a pending event, returning its payload if it had not yet
-    /// fired. Cancelling an already-fired or already-cancelled event returns
-    /// `None` and has no other effect.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        // The queue entry stays behind as a stale key; `skim_stale` drops it
-        // when it reaches the front.
-        self.slots.remove(handle.key)
-    }
-
-    /// True if the event behind `handle` is still pending.
-    pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.slots.contains(handle.key)
-    }
-
-    /// The firing time of the next pending event, if any.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        self.skim_stale();
-        self.queue.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Drops stale queue entries (cancelled events) from the front.
-    fn skim_stale(&mut self) {
-        while let Some(Reverse(e)) = self.queue.peek() {
-            if self.slots.contains(e.key()) {
-                break;
+    /// Drops front entries that `live` rejects, without moving the clock,
+    /// and returns the firing time of the first one it accepts.
+    fn skim(&mut self, live: impl Fn(&E) -> bool) -> Option<SimTime> {
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if live(&entry.event) {
+                return Some(entry.time);
             }
-            self.queue.pop();
+            self.heap.pop();
         }
+        None
     }
 
-    /// Pops the next live event, advancing the clock to its firing time.
+    /// Pops the front entry, advancing the clock to its firing time.
     fn pop(&mut self) -> Option<E> {
-        self.skim_stale();
-        let Reverse(entry) = self.queue.pop()?;
+        let Reverse(entry) = self.heap.pop()?;
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
-        let payload = self
-            .slots
-            .remove(entry.key())
-            // lint:allow(unwrap-panic): skim_stale dropped every cancelled key before this pop
-            .expect("skim_stale guarantees a live slot");
         self.fired += 1;
-        Some(payload)
+        Some(entry.event)
     }
 }
 
@@ -223,6 +204,16 @@ pub trait World: Sized {
 
     /// Reacts to `event` firing at `sched.now()`.
     fn handle(&mut self, sched: &mut Scheduler<Self::Event>, event: Self::Event);
+
+    /// Whether a queued event should still fire.
+    ///
+    /// Asked for the entry at the front of the queue before the clock moves
+    /// to it. An entry that is not live is dropped: it never reaches
+    /// [`handle`](World::handle), leaves the clock where it is and does not
+    /// count in [`Scheduler::fired`]. The default calls every event live.
+    fn is_live(&self, _event: &Self::Event) -> bool {
+        true
+    }
 }
 
 /// A world plus its scheduler: the complete simulation.
@@ -273,14 +264,28 @@ impl<W: World> Simulation<W> {
         (&mut self.world, &mut self.sched)
     }
 
-    /// Fires the single next event, if any. Returns `true` if one fired.
+    /// The firing time of the next live event, if any. Stale entries ahead
+    /// of it are dropped on the way; the clock does not move.
+    pub fn peek_next_time(&mut self) -> Option<SimTime> {
+        let world = &self.world;
+        self.sched.skim(|event| world.is_live(event))
+    }
+
+    /// Fires the single next live event, if any. Returns `true` if one
+    /// fired.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
-            Some(event) => {
-                self.world.handle(&mut self.sched, event);
-                true
-            }
-            None => false,
+        if self.peek_next_time().is_none() {
+            return false;
+        }
+        self.fire_front();
+        true
+    }
+
+    /// Fires the front entry, which [`peek_next_time`](Self::peek_next_time)
+    /// has just found live.
+    fn fire_front(&mut self) {
+        if let Some(event) = self.sched.pop() {
+            self.world.handle(&mut self.sched, event);
         }
     }
 
@@ -297,13 +302,8 @@ impl<W: World> Simulation<W> {
     /// Fires every event scheduled at or before `deadline`, then advances the
     /// clock to exactly `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            match self.sched.peek_next_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
+        while self.peek_next_time().is_some_and(|t| t <= deadline) {
+            self.fire_front();
         }
         if self.sched.now < deadline {
             self.sched.now = deadline;
@@ -335,10 +335,12 @@ impl<W: World + fmt::Debug> fmt::Debug for Simulation<W> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq, Eq, Clone)]
+    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     enum Ev {
         Mark(u32),
         Chain(u32),
+        /// Dropped by [`Recorder::is_live`] without firing.
+        Stale(u32),
     }
 
     #[derive(Default)]
@@ -356,28 +358,32 @@ mod tests {
             }
             self.seen.push((sched.now(), event));
         }
+
+        fn is_live(&self, event: &Ev) -> bool {
+            !matches!(event, Ev::Stale(_))
+        }
     }
 
-    #[test]
-    fn events_fire_in_time_order() {
-        let mut sim = Simulation::new(Recorder::default());
-        sim.scheduler_mut()
-            .schedule_at(SimTime::from_secs(3), Ev::Mark(3));
-        sim.scheduler_mut()
-            .schedule_at(SimTime::from_secs(1), Ev::Mark(1));
-        sim.scheduler_mut()
-            .schedule_at(SimTime::from_secs(2), Ev::Mark(2));
-        sim.run_until_idle();
-        let marks: Vec<u32> = sim
-            .world()
+    fn marks(sim: &Simulation<Recorder>) -> Vec<u32> {
+        sim.world()
             .seen
             .iter()
             .map(|(_, e)| match e {
                 Ev::Mark(n) => *n,
                 _ => unreachable!(),
             })
-            .collect();
-        assert_eq!(marks, vec![1, 2, 3]);
+            .collect()
+    }
+
+    #[test]
+    fn events_fire_in_time_order() {
+        let mut sim = Simulation::new(Recorder::default());
+        for n in [3, 1, 2] {
+            sim.scheduler_mut()
+                .schedule_at(SimTime::from_secs(u64::from(n)), Ev::Mark(n));
+        }
+        sim.run_until_idle();
+        assert_eq!(marks(&sim), vec![1, 2, 3]);
     }
 
     #[test]
@@ -388,16 +394,7 @@ mod tests {
                 .schedule_at(SimTime::from_secs(5), Ev::Mark(n));
         }
         sim.run_until_idle();
-        let marks: Vec<u32> = sim
-            .world()
-            .seen
-            .iter()
-            .map(|(_, e)| match e {
-                Ev::Mark(n) => *n,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(marks, (0..10).collect::<Vec<_>>());
+        assert_eq!(marks(&sim), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -411,47 +408,35 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_fire() {
+    fn stale_events_never_fire_nor_move_the_clock() {
         let mut sim = Simulation::new(Recorder::default());
-        let keep = sim
-            .scheduler_mut()
+        sim.scheduler_mut()
             .schedule_at(SimTime::from_secs(1), Ev::Mark(1));
-        let drop = sim
-            .scheduler_mut()
-            .schedule_at(SimTime::from_secs(2), Ev::Mark(2));
-        assert_eq!(sim.scheduler_mut().cancel(drop), Some(Ev::Mark(2)));
-        assert!(sim.scheduler().is_pending(keep));
-        assert!(!sim.scheduler().is_pending(drop));
-        sim.run_until_idle();
-        assert_eq!(sim.world().seen.len(), 1);
+        sim.scheduler_mut()
+            .schedule_at(SimTime::from_secs(2), Ev::Stale(2));
+        sim.scheduler_mut()
+            .schedule_at(SimTime::from_secs(3), Ev::Stale(3));
+        // Stale entries stay counted until they reach the front.
+        assert_eq!(sim.scheduler().pending(), 3);
+        assert_eq!(sim.run_until_idle(), SimTime::from_secs(1));
+        assert_eq!(marks(&sim), vec![1]);
+        assert_eq!(sim.scheduler().fired(), 1);
+        assert_eq!(sim.scheduler().pending(), 0);
     }
 
     #[test]
-    fn cancel_is_idempotent_and_generation_safe() {
+    fn peek_skips_stale_entries() {
         let mut sim = Simulation::new(Recorder::default());
-        let h = sim
-            .scheduler_mut()
-            .schedule_at(SimTime::from_secs(1), Ev::Mark(1));
-        assert!(sim.scheduler_mut().cancel(h).is_some());
-        assert!(sim.scheduler_mut().cancel(h).is_none());
-        // The slot is reused; the old handle must not cancel the new event.
-        let h2 = sim
-            .scheduler_mut()
-            .schedule_at(SimTime::from_secs(2), Ev::Mark(2));
-        assert!(sim.scheduler_mut().cancel(h).is_none());
-        assert!(sim.scheduler().is_pending(h2));
-        sim.run_until_idle();
-        assert_eq!(sim.world().seen.len(), 1);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut sim = Simulation::new(Recorder::default());
-        let h = sim
-            .scheduler_mut()
-            .schedule_at(SimTime::from_secs(1), Ev::Mark(1));
-        sim.run_until_idle();
-        assert!(sim.scheduler_mut().cancel(h).is_none());
+        sim.scheduler_mut()
+            .schedule_at(SimTime::from_secs(1), Ev::Stale(1));
+        sim.scheduler_mut()
+            .schedule_at(SimTime::from_secs(4), Ev::Mark(4));
+        assert_eq!(sim.peek_next_time(), Some(SimTime::from_secs(4)));
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(sim.scheduler().pending(), 1);
+        assert!(sim.step());
+        assert!(!sim.step());
+        assert_eq!(sim.peek_next_time(), None);
     }
 
     #[test]
@@ -473,8 +458,10 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
         assert_eq!(sim.world().seen.len(), 1);
+        assert_eq!(sim.scheduler().pending(), 1);
         sim.run_until_idle();
         assert_eq!(sim.world().seen.len(), 2);
+        assert_eq!(sim.scheduler().fired(), 2);
     }
 
     #[test]
@@ -508,5 +495,13 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.scheduler().pending(), 0);
         assert_eq!(sim.scheduler().fired(), 2);
+    }
+
+    #[test]
+    fn into_world_returns_state() {
+        let mut sim = Simulation::new(Recorder::default());
+        sim.scheduler_mut().schedule_at(SimTime::ZERO, Ev::Mark(7));
+        sim.run_until_idle();
+        assert_eq!(sim.into_world().seen, vec![(SimTime::ZERO, Ev::Mark(7))]);
     }
 }

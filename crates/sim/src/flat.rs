@@ -1,360 +1,13 @@
-//! A lean scheduler for small `Copy` events.
+//! The fleet scheduler's former names, kept as aliases of the one event
+//! core in [`crate::engine`].
 //!
-//! The general-purpose [`Scheduler`](crate::engine::Scheduler) supports
-//! arbitrary payload types and generation-checked cancellation, which costs
-//! every event a slab slot round-trip (insert on schedule, remove on fire).
-//! Many hot inner loops — benchmark drivers, tick generators, fleet-scale
-//! sweeps — use tiny `Copy` events and never cancel. [`FlatScheduler`]
-//! serves exactly that shape: the payload rides *inside* the queue entry, so
-//! scheduling is one heap push and firing is one heap pop, with no slot
-//! indirection, no handles, and no stale-entry skimming.
-//!
-//! The ordering contract is identical to the general engine: ascending
-//! `(time, seq)` with `seq` breaking equal-timestamp ties in insertion
-//! (FIFO) order, so a world ported between the two schedulers sees the same
-//! event sequence.
-//!
-//! Measured by `corebench` (see `PERFORMANCE.md`): the flat path is the
-//! upper bound on engine throughput, and the gap between `engine/chain/*`
-//! and `flat/chain` is the price of cancellation support.
-//!
-//! # Examples
-//!
-//! ```
-//! use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
-//! use rh_sim::time::SimDuration;
-//!
-//! struct Countdown { left: u32 }
-//!
-//! impl FlatWorld for Countdown {
-//!     type Event = u32;
-//!     fn handle(&mut self, sched: &mut FlatScheduler<u32>, n: u32) {
-//!         self.left = n;
-//!         if n > 0 {
-//!             sched.schedule_in(SimDuration::from_micros(1), n - 1);
-//!         }
-//!     }
-//! }
-//!
-//! let mut sim = FlatSimulation::new(Countdown { left: u32::MAX });
-//! sim.scheduler_mut().schedule_in(SimDuration::ZERO, 3);
-//! sim.run_until_idle();
-//! assert_eq!(sim.world().left, 0);
-//! assert_eq!(sim.scheduler().fired(), 4);
-//! ```
+//! The fleet ran on a scheduler of its own until the host moved onto the
+//! same inline-payload layout, which left [`crate::engine`] as the only
+//! implementation. These three names stay only because the perfbench
+//! package imports them (`perfbench/src/fleet.rs`), and its sources change
+//! only in benchmark changes of their own (ROADMAP item 1(d)). New code
+//! uses the engine names.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-use std::fmt;
-
-use crate::time::{SimDuration, SimTime};
-
-/// A queued flat event: ordering key plus inline payload.
-#[derive(Debug, Clone, Copy)]
-struct FlatEntry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-// Ordering ignores the payload: `seq` is unique per scheduler, so
-// `(time, seq)` is already a total order.
-impl<E> PartialEq for FlatEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-
-impl<E> Eq for FlatEntry<E> {}
-
-impl<E> PartialOrd for FlatEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for FlatEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// The event queue and clock of a flat simulation.
-///
-/// Unlike [`Scheduler`](crate::engine::Scheduler) there are no
-/// [`EventHandle`](crate::engine::EventHandle)s: scheduled events always
-/// fire. See the [module docs](self) for when this trade is right.
-pub struct FlatScheduler<E: Copy> {
-    now: SimTime,
-    heap: BinaryHeap<Reverse<FlatEntry<E>>>,
-    seq: u64,
-    fired: u64,
-}
-
-impl<E: Copy> FlatScheduler<E> {
-    /// Creates an empty scheduler at time zero.
-    pub fn new() -> Self {
-        FlatScheduler {
-            now: SimTime::ZERO,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            fired: 0,
-        }
-    }
-
-    /// The current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The number of pending events. O(1).
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Total number of events fired so far.
-    pub fn fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule an event at {at} before now ({})",
-            self.now
-        );
-        self.seq += 1;
-        self.heap.push(Reverse(FlatEntry {
-            time: at,
-            seq: self.seq,
-            event,
-        }));
-    }
-
-    /// Schedules `event` to fire after `delay`.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// The firing time of the next pending event, if any.
-    pub fn peek_next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Pops the next event, advancing the clock to its firing time.
-    fn pop(&mut self) -> Option<E> {
-        let Reverse(entry) = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
-        self.fired += 1;
-        Some(entry.event)
-    }
-}
-
-impl<E: Copy> Default for FlatScheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: Copy> fmt::Debug for FlatScheduler<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FlatScheduler")
-            .field("now", &self.now)
-            .field("pending", &self.pending())
-            .field("fired", &self.fired)
-            .finish()
-    }
-}
-
-/// Application state driven by a [`FlatScheduler`].
-///
-/// The flat counterpart of [`World`](crate::engine::World); the `Copy`
-/// bound on the event type is what lets payloads ride inline in the queue.
-pub trait FlatWorld: Sized {
-    /// The event vocabulary of this world. Small `Copy` types only — the
-    /// payload is stored inside every queue entry.
-    type Event: Copy;
-
-    /// Reacts to `event` firing at `sched.now()`.
-    fn handle(&mut self, sched: &mut FlatScheduler<Self::Event>, event: Self::Event);
-}
-
-/// A flat world plus its scheduler: the complete simulation.
-///
-/// Mirrors [`Simulation`](crate::engine::Simulation) minus cancellation.
-#[derive(Debug)]
-pub struct FlatSimulation<W: FlatWorld> {
-    world: W,
-    sched: FlatScheduler<W::Event>,
-}
-
-impl<W: FlatWorld> FlatSimulation<W> {
-    /// Creates a simulation at time zero with the given world.
-    pub fn new(world: W) -> Self {
-        FlatSimulation {
-            world,
-            sched: FlatScheduler::new(),
-        }
-    }
-
-    /// The current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    /// Shared access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
-    /// Mutable access to the world.
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Shared access to the scheduler.
-    pub fn scheduler(&self) -> &FlatScheduler<W::Event> {
-        &self.sched
-    }
-
-    /// Mutable access to the scheduler (for seeding initial events).
-    pub fn scheduler_mut(&mut self) -> &mut FlatScheduler<W::Event> {
-        &mut self.sched
-    }
-
-    /// Fires the single next event, if any. Returns `true` if one fired.
-    pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
-            Some(event) => {
-                self.world.handle(&mut self.sched, event);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs until no events remain, then returns the final time.
-    pub fn run_until_idle(&mut self) -> SimTime {
-        while self.step() {}
-        self.now()
-    }
-
-    /// Fires every event scheduled at or before `deadline`, then advances
-    /// the clock to exactly `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            match self.sched.peek_next_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if self.sched.now < deadline {
-            self.sched.now = deadline;
-        }
-    }
-
-    /// Consumes the simulation, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Default)]
-    struct Recorder {
-        seen: Vec<(SimTime, u32)>,
-    }
-
-    impl FlatWorld for Recorder {
-        type Event = u32;
-        fn handle(&mut self, sched: &mut FlatScheduler<u32>, event: u32) {
-            self.seen.push((sched.now(), event));
-        }
-    }
-
-    #[test]
-    fn fires_in_time_order_with_fifo_ties() {
-        let mut sim = FlatSimulation::new(Recorder::default());
-        sim.scheduler_mut().schedule_at(SimTime::from_secs(2), 20);
-        sim.scheduler_mut().schedule_at(SimTime::from_secs(1), 11);
-        sim.scheduler_mut().schedule_at(SimTime::from_secs(1), 12);
-        sim.run_until_idle();
-        let order: Vec<u32> = sim.world().seen.iter().map(|&(_, e)| e).collect();
-        assert_eq!(order, vec![11, 12, 20]);
-        assert_eq!(sim.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn matches_general_engine_order() {
-        // The same event stream through the general engine and the flat
-        // scheduler must fire in the same order.
-        use crate::engine::{Scheduler, Simulation, World};
-
-        #[derive(Default)]
-        struct GenRecorder {
-            seen: Vec<(SimTime, u32)>,
-        }
-        impl World for GenRecorder {
-            type Event = u32;
-            fn handle(&mut self, sched: &mut Scheduler<u32>, event: u32) {
-                self.seen.push((sched.now(), event));
-            }
-        }
-
-        let stream: Vec<(u64, u32)> = (0..100).map(|i| (u64::from(i * 31 % 17), i)).collect();
-        let mut flat = FlatSimulation::new(Recorder::default());
-        let mut general = Simulation::new(GenRecorder::default());
-        for &(us, ev) in &stream {
-            flat.scheduler_mut()
-                .schedule_at(SimTime::from_micros(us), ev);
-            general
-                .scheduler_mut()
-                .schedule_at(SimTime::from_micros(us), ev);
-        }
-        flat.run_until_idle();
-        general.run_until_idle();
-        assert_eq!(flat.world().seen, general.world().seen);
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = FlatSimulation::new(Recorder::default());
-        sim.scheduler_mut().schedule_at(SimTime::from_secs(1), 1);
-        sim.scheduler_mut().schedule_at(SimTime::from_secs(9), 9);
-        sim.run_until(SimTime::from_secs(5));
-        assert_eq!(sim.world().seen.len(), 1);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-        assert_eq!(sim.scheduler().pending(), 1);
-        sim.run_until_idle();
-        assert_eq!(sim.world().seen.len(), 2);
-        assert_eq!(sim.scheduler().fired(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "before now")]
-    fn scheduling_in_the_past_panics() {
-        let mut sim = FlatSimulation::new(Recorder::default());
-        sim.scheduler_mut().schedule_at(SimTime::from_secs(5), 0);
-        sim.run_until_idle();
-        sim.scheduler_mut().schedule_at(SimTime::from_secs(1), 1);
-    }
-
-    #[test]
-    fn into_world_returns_state() {
-        let mut sim = FlatSimulation::new(Recorder::default());
-        sim.scheduler_mut().schedule_at(SimTime::ZERO, 7);
-        sim.run_until_idle();
-        assert_eq!(sim.into_world().seen, vec![(SimTime::ZERO, 7)]);
-    }
-}
+pub use crate::engine::{
+    Scheduler as FlatScheduler, Simulation as FlatSimulation, World as FlatWorld,
+};

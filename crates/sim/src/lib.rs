@@ -10,12 +10,12 @@
 //! ## Modules
 //!
 //! * [`time`] — integer-microsecond instants and durations,
-//! * [`engine`] — the event queue (a binary heap over slab-backed
-//!   payloads), the [`engine::World`] trait and the
-//!   [`engine::Simulation`] driver,
-//! * [`flat`] — a lean scheduler for small `Copy` events (no handles, no
-//!   cancellation) for throughput-critical inner loops,
-//! * [`slab`] — the generational slab allocator backing event payloads,
+//! * [`engine`] — the one event core: a binary heap whose entries carry
+//!   their payloads inline, the [`engine::World`] trait (with its
+//!   [`engine::World::is_live`] hook for events the world has made stale)
+//!   and the [`engine::Simulation`] driver,
+//! * [`flat`] — the fleet scheduler's former names, aliases of the engine
+//!   kept for the perfbench package,
 //! * [`resource`] — a processor-sharing resource (disk/CPU contention) and
 //!   the [`resource::Retick`] wake-up helper,
 //! * [`histogram`] — log-bucketed latency histograms,
@@ -35,7 +35,7 @@
 //!
 //! // A world with one shared disk writing two VM memory images.
 //! #[derive(Debug)]
-//! enum Ev { DiskWake }
+//! enum Ev { DiskWake(u64) }
 //!
 //! struct Saver {
 //!     disk: PsResource,
@@ -46,9 +46,15 @@
 //! impl World for Saver {
 //!     type Event = Ev;
 //!     fn handle(&mut self, sched: &mut Scheduler<Ev>, _ev: Ev) {
+//!         self.wake.fired();
 //!         let now = sched.now();
 //!         self.saved.extend(self.disk.take_completed(now));
-//!         self.wake.reschedule(sched, self.disk.next_completion(now), || Ev::DiskWake);
+//!         self.wake.reschedule(sched, self.disk.next_completion(now), Ev::DiskWake);
+//!     }
+//!
+//!     fn is_live(&self, ev: &Ev) -> bool {
+//!         let Ev::DiskWake(gen) = *ev;
+//!         self.wake.is_live(gen)
 //!     }
 //! }
 //!
@@ -61,7 +67,7 @@
 //! world.disk.submit(sched.now(), 1.0e9); // 1 GB image
 //! world.disk.submit(sched.now(), 1.0e9); // another
 //! let next = world.disk.next_completion(sched.now());
-//! world.wake.reschedule(sched, next, || Ev::DiskWake);
+//! world.wake.reschedule(sched, next, Ev::DiskWake);
 //! sim.run_until_idle();
 //! assert_eq!(sim.world().saved.len(), 2);
 //! // Two 1 GB images over one 85 MB/s disk: ~23.5 s.
@@ -79,11 +85,10 @@ pub mod pool;
 pub mod resource;
 pub mod rng;
 pub mod series;
-pub mod slab;
 pub mod stats;
 pub mod testkit;
 pub mod time;
 
-pub use engine::{EventHandle, Scheduler, Simulation, World};
+pub use engine::{Scheduler, Simulation, World};
 pub use resource::{JobId, PsResource, Retick};
 pub use time::{SimDuration, SimTime};

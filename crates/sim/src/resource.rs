@@ -18,8 +18,8 @@
 //!    or is aborted,
 //! 2. after *any* mutation, asks [`PsResource::next_completion`] and
 //!    (re)schedules a single wake-up event at that time (the [`Retick`]
-//!    helper manages the cancel/reschedule dance, and leaves a pending
-//!    wake-up alone when it is already due at that time),
+//!    helper abandons the old wake-up and schedules the new one, and
+//!    leaves a queued wake-up alone when it is already due at that time),
 //! 3. on wake-up, calls [`PsResource::take_completed`] and dispatches each
 //!    finished [`JobId`] to its purpose.
 //!
@@ -39,7 +39,7 @@
 
 use std::fmt;
 
-use crate::engine::{EventHandle, Scheduler};
+use crate::engine::Scheduler;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a job submitted to a [`PsResource`].
@@ -347,67 +347,84 @@ impl PsResource {
 ///
 /// A world embeds one `Retick` per resource and calls
 /// [`reschedule`](Retick::reschedule) after every mutation; the helper
-/// cancels the previous wake-up and schedules the new one (or none if the
+/// abandons the previous wake-up and schedules the new one (or none if the
 /// resource went idle).
+///
+/// The scheduler cannot cancel, so a wake-up carries the generation it was
+/// armed under. Abandoning it bumps the generation, which leaves its queued
+/// entry stale. The world answers [`World::is_live`] for its wake events
+/// with [`is_live`](Retick::is_live), so the simulation drops a stale one
+/// unfired, and calls [`fired`](Retick::fired) when it handles a live one.
 ///
 /// Most mutations leave the earliest completion where it was: a request
 /// that hits the page cache adds no disk work, yet its handler re-arms the
 /// disk wake. So `Retick` remembers the instant it armed, and a re-arm to
-/// that same instant while the wake is still pending does nothing: no
-/// cancel, no new queue entry for the scheduler to skim later. A re-arm to
-/// any other instant, even one microsecond away, moves the wake as before.
+/// that same instant while the wake is still queued does nothing: no new
+/// queue entry, no stale one left behind. A re-arm to any other instant,
+/// even one microsecond away, moves the wake as before.
 ///
 /// # Ordering
 ///
 /// The scheduler fires events of one instant in the order they were
-/// scheduled. A skipped re-arm keeps the wake's place among them, where a
-/// cancel and re-schedule would have moved it behind every event
-/// scheduled for that instant since it was armed.
+/// scheduled. A skipped re-arm keeps the wake's place among them, where
+/// abandoning it and scheduling anew would have moved it behind every
+/// event scheduled for that instant since it was armed.
+///
+/// [`World::is_live`]: crate::engine::World::is_live
 #[derive(Debug, Default)]
 pub struct Retick {
-    /// The armed wake-up and the instant it was scheduled for.
-    armed: Option<(EventHandle, SimTime)>,
+    /// The generation of the live wake-up; bumped to abandon it.
+    gen: u64,
+    /// The instant of the live wake-up while it is queued, not yet fired.
+    armed: Option<SimTime>,
 }
 
 impl Retick {
     /// Creates an unarmed helper.
     pub fn new() -> Self {
-        Retick { armed: None }
+        Retick::default()
     }
 
     /// Arms the wake-up for `at`, or disarms it when `at` is `None`.
     ///
-    /// When the pending wake-up is already due at `at`, it stays as it is
+    /// When the queued wake-up is already due at `at`, it stays as it is
     /// and `make` is not called. Otherwise the current wake-up (if armed)
-    /// is cancelled and, when `at` is `Some`, `make()` is scheduled at
-    /// that instant.
+    /// is abandoned and, when `at` is `Some`, `make(generation)` is
+    /// scheduled at that instant.
     pub fn reschedule<E>(
         &mut self,
         sched: &mut Scheduler<E>,
         at: Option<SimTime>,
-        make: impl FnOnce() -> E,
+        make: impl FnOnce(u64) -> E,
     ) {
-        if let (Some((handle, armed_at)), Some(t)) = (self.armed, at) {
-            if armed_at == t && sched.is_pending(handle) {
-                return;
-            }
+        if at.is_some() && at == self.armed {
+            return;
         }
-        self.disarm(sched);
+        self.disarm();
         if let Some(t) = at {
-            self.armed = Some((sched.schedule_at(t, make()), t));
+            sched.schedule_at(t, make(self.gen));
+            self.armed = Some(t);
         }
     }
 
-    /// Cancels the current wake-up without scheduling a new one.
-    pub fn disarm<E>(&mut self, sched: &mut Scheduler<E>) {
-        if let Some((handle, _)) = self.armed.take() {
-            sched.cancel(handle);
+    /// Abandons the queued wake-up, if any, without scheduling a new one.
+    /// Its entry stays queued, stale, until the simulation drops it.
+    pub fn disarm(&mut self) {
+        if self.armed.take().is_some() {
+            self.gen += 1;
         }
     }
 
-    /// True if a wake-up is currently armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.is_some()
+    /// True if a wake-up made under `gen` is the live one.
+    pub fn is_live(&self, gen: u64) -> bool {
+        gen == self.gen
+    }
+
+    /// Records that the live wake-up fired, so a later re-arm to its
+    /// instant schedules anew. The world calls this from
+    /// [`World::handle`](crate::engine::World::handle) for each wake event.
+    pub fn fired(&mut self) {
+        self.armed = None;
     }
 }
 
@@ -561,82 +578,96 @@ mod tests {
         r.advance(t(1.0));
     }
 
-    /// A world that records every event it fires, with the instant.
+    /// A world that records every event it fires, with the instant. Its
+    /// wake events (even payloads, `2 * generation`) go through a
+    /// [`Retick`]; odd payloads are plain events.
     #[derive(Default)]
     struct Recorder {
-        fired: Vec<(SimTime, u32)>,
+        wake: Retick,
+        fired: Vec<(SimTime, u64)>,
     }
 
     impl crate::engine::World for Recorder {
-        type Event = u32;
-        fn handle(&mut self, s: &mut Scheduler<u32>, e: u32) {
+        type Event = u64;
+        fn handle(&mut self, s: &mut Scheduler<u64>, e: u64) {
+            if e.is_multiple_of(2) {
+                self.wake.fired();
+            }
             self.fired.push((s.now(), e));
+        }
+
+        fn is_live(&self, e: &u64) -> bool {
+            e % 2 == 1 || self.wake.is_live(e / 2)
         }
     }
 
-    #[test]
-    fn retick_replaces_pending_event() {
-        let mut sim = crate::engine::Simulation::new(Recorder::default());
-        let mut retick = Retick::new();
-        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 1);
-        assert!(retick.is_armed());
-        sim.scheduler_mut().schedule_at(t(1.5), 9);
-        retick.reschedule(sim.scheduler_mut(), Some(t(2.0)), || 2);
-        assert_eq!(sim.scheduler().pending(), 2);
-        sim.run_until_idle();
-        // The wake moved to the new instant; only the second event fires.
-        assert_eq!(sim.world().fired, vec![(t(1.5), 9), (t(2.0), 2)]);
+    type Sim = crate::engine::Simulation<Recorder>;
+
+    /// Re-arms the recorder's wake for `at`.
+    fn rearm(sim: &mut Sim, at: Option<SimTime>) {
+        let (world, sched) = sim.parts_mut();
+        world.wake.reschedule(sched, at, |gen| 2 * gen);
     }
 
     #[test]
-    fn retick_same_instant_rearm_keeps_the_pending_wake() {
-        let mut sim = crate::engine::Simulation::new(Recorder::default());
-        let mut retick = Retick::new();
-        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 1);
+    fn retick_moves_the_queued_wake() {
+        let mut sim = Sim::new(Recorder::default());
+        rearm(&mut sim, Some(t(1.0)));
+        sim.scheduler_mut().schedule_at(t(1.5), 9);
+        rearm(&mut sim, Some(t(2.0)));
+        // The abandoned wake stays queued, stale, until it is dropped.
+        assert_eq!(sim.scheduler().pending(), 3);
+        sim.run_until_idle();
+        // The wake moved to the new instant; only the second one fires.
+        assert_eq!(sim.world().fired, vec![(t(1.5), 9), (t(2.0), 2)]);
+        assert_eq!(sim.scheduler().fired(), 2);
+    }
+
+    #[test]
+    fn retick_same_instant_rearm_keeps_the_queued_wake() {
+        let mut sim = Sim::new(Recorder::default());
+        rearm(&mut sim, Some(t(1.0)));
         sim.scheduler_mut().schedule_at(t(1.0), 9);
         assert_eq!(sim.scheduler().pending(), 2);
         for _ in 0..3 {
-            retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || {
+            let (world, sched) = sim.parts_mut();
+            world.wake.reschedule(sched, Some(t(1.0)), |_| {
                 panic!("a re-arm to the armed instant must not schedule")
             });
             assert_eq!(sim.scheduler().pending(), 2);
         }
         sim.run_until_idle();
         // The wake fires once, still ahead of the event scheduled after it.
-        assert_eq!(sim.world().fired, vec![(t(1.0), 1), (t(1.0), 9)]);
+        assert_eq!(sim.world().fired, vec![(t(1.0), 0), (t(1.0), 9)]);
     }
 
     #[test]
     fn retick_rearms_a_fired_wake_even_at_the_same_instant() {
-        let mut sim = crate::engine::Simulation::new(Recorder::default());
-        let mut retick = Retick::new();
-        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 1);
+        let mut sim = Sim::new(Recorder::default());
+        rearm(&mut sim, Some(t(1.0)));
         sim.run_until(t(1.0));
-        assert_eq!(sim.world().fired, vec![(t(1.0), 1)]);
-        // Still armed for t = 1, but that wake has fired: schedule anew.
-        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || 2);
+        assert_eq!(sim.world().fired, vec![(t(1.0), 0)]);
+        // Armed for t = 1 before, but that wake has fired: schedule anew.
+        rearm(&mut sim, Some(t(1.0)));
         assert_eq!(sim.scheduler().pending(), 1);
         sim.run_until_idle();
-        assert_eq!(sim.world().fired, vec![(t(1.0), 1), (t(1.0), 2)]);
+        assert_eq!(sim.world().fired, vec![(t(1.0), 0), (t(1.0), 0)]);
     }
 
     #[test]
-    fn retick_disarm_cancels() {
-        use crate::engine::{Scheduler, Simulation, World};
-
-        struct W;
-        impl World for W {
-            type Event = ();
-            fn handle(&mut self, _s: &mut Scheduler<()>, _e: ()) {
-                panic!("should never fire");
-            }
-        }
-        let mut sim = Simulation::new(W);
-        let mut retick = Retick::new();
-        retick.reschedule(sim.scheduler_mut(), Some(t(1.0)), || ());
-        retick.disarm(sim.scheduler_mut());
-        assert!(!retick.is_armed());
-        assert_eq!(sim.scheduler().pending(), 0);
+    fn retick_disarm_leaves_a_stale_entry_that_never_fires() {
+        let mut sim = Sim::new(Recorder::default());
+        rearm(&mut sim, Some(t(1.0)));
+        sim.world_mut().wake.disarm();
+        assert_eq!(sim.scheduler().pending(), 1);
+        assert_eq!(sim.run_until_idle(), SimTime::ZERO);
+        assert!(sim.world().fired.is_empty());
+        assert_eq!(sim.scheduler().fired(), 0);
+        // Re-armed at the same instant after a disarm: a new live wake.
+        rearm(&mut sim, Some(t(1.0)));
+        rearm(&mut sim, None);
+        rearm(&mut sim, Some(t(1.0)));
         sim.run_until_idle();
+        assert_eq!(sim.world().fired, vec![(t(1.0), 4)]);
     }
 }

@@ -76,7 +76,7 @@ impl HostSim {
             if pred(self.sim.world()) {
                 return true;
             }
-            match self.sim.scheduler_mut().peek_next_time() {
+            match self.sim.peek_next_time() {
                 Some(t) if t <= deadline => {
                     self.sim.step();
                 }
@@ -92,8 +92,13 @@ impl HostSim {
     ///
     /// # Panics
     ///
-    /// Panics if the host does not come up within [`DEFAULT_WAIT_CAP`].
+    /// Panics with [`HostConfig::validate`]'s message, which names the
+    /// shortfall, if the configured domains do not fit the host; and if
+    /// the host does not come up within [`DEFAULT_WAIT_CAP`].
     pub fn power_on_and_wait(&mut self) -> SimTime {
+        if let Err(e) = self.host().config().validate() {
+            panic!("host cannot power on: {e}");
+        }
         {
             let (host, sched) = self.sim.parts_mut();
             host.power_on(sched);
@@ -221,6 +226,13 @@ pub fn booted_host(n: u32, service: rh_guest::services::ServiceKind) -> HostSim 
 mod tests {
     use super::*;
     use rh_guest::services::ServiceKind;
+
+    #[test]
+    #[should_panic(expected = "MiB short")]
+    fn power_on_names_the_memory_shortfall() {
+        let cfg = HostConfig::paper_testbed().with_vms(12, ServiceKind::Ssh);
+        HostSim::new(cfg).power_on_and_wait();
+    }
 
     #[test]
     fn httperf_against_a_domain_without_files_is_an_error_not_a_stall() {

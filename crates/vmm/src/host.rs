@@ -40,6 +40,13 @@
 //! preservation: each memory-preserving reboot captures every guest's
 //! logical image at freeze and compares a re-capture at resume, falling
 //! back to full digests only when the two captures differ.
+//!
+//! The host runs on `rh_sim`'s one event core, which cannot cancel an
+//! event. Its only cancellable events are the disk, CPU and network
+//! wake-ups: each carries the generation of its [`Retick`], and
+//! [`World::is_live`] reports a wake that has since moved as stale, so the
+//! simulation drops it unfired. Reboot steps carry the host epoch instead
+//! and are dropped in `handle` (see [`HostEvent::Reboot`]).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -72,12 +79,15 @@ use crate::vmm::{Vmm, VmmError};
 /// Events of the host world.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HostEvent {
-    /// The shared disk may have completed transfers.
-    DiskWake,
-    /// The shared CPU pool may have completed work.
-    CpuWake,
-    /// The network may have completed transfers.
-    NetWake,
+    /// The shared disk may have completed transfers. Carries the
+    /// generation of the disk's [`Retick`]; a wake that moved is stale.
+    DiskWake(u64),
+    /// The shared CPU pool may have completed work (generation-tagged
+    /// like [`HostEvent::DiskWake`]).
+    CpuWake(u64),
+    /// The network may have completed transfers (generation-tagged like
+    /// [`HostEvent::DiskWake`]).
+    NetWake(u64),
     /// A lifecycle operation's fixed-latency part elapsed.
     WorkFixedDone(DomainId, WorkTag),
     /// A step of the VMM reboot sequence, tagged with the host epoch that
@@ -1446,20 +1456,21 @@ impl Host {
 
     fn rearm_disk(&mut self, sched: &mut Scheduler<HostEvent>) {
         let at = self.disk.next_completion(sched.now());
-        self.disk_wake.reschedule(sched, at, || HostEvent::DiskWake);
+        self.disk_wake.reschedule(sched, at, HostEvent::DiskWake);
     }
 
     fn rearm_cpu(&mut self, sched: &mut Scheduler<HostEvent>) {
         let at = self.cpu.next_completion(sched.now());
-        self.cpu_wake.reschedule(sched, at, || HostEvent::CpuWake);
+        self.cpu_wake.reschedule(sched, at, HostEvent::CpuWake);
     }
 
     fn rearm_net(&mut self, sched: &mut Scheduler<HostEvent>) {
         let at = self.net.next_completion(sched.now());
-        self.net_wake.reschedule(sched, at, || HostEvent::NetWake);
+        self.net_wake.reschedule(sched, at, HostEvent::NetWake);
     }
 
     fn on_disk_wake(&mut self, sched: &mut Scheduler<HostEvent>) {
+        self.disk_wake.fired();
         let done = self.disk.take_completed(sched.now());
         for job in done {
             match self.disk_jobs.remove(job) {
@@ -1477,6 +1488,7 @@ impl Host {
     }
 
     fn on_cpu_wake(&mut self, sched: &mut Scheduler<HostEvent>) {
+        self.cpu_wake.fired();
         let done = self.cpu.take_completed(sched.now());
         for job in done {
             if let Some(id) = self.cpu_jobs.remove(job) {
@@ -1487,6 +1499,7 @@ impl Host {
     }
 
     fn on_net_wake(&mut self, sched: &mut Scheduler<HostEvent>) {
+        self.net_wake.fired();
         let done = self.net.take_completed(sched.now());
         for job in done {
             if let Some(rid) = self.net_jobs.remove(job) {
@@ -2667,9 +2680,9 @@ impl World for Host {
 
     fn handle(&mut self, sched: &mut Scheduler<HostEvent>, event: HostEvent) {
         match event {
-            HostEvent::DiskWake => self.on_disk_wake(sched),
-            HostEvent::CpuWake => self.on_cpu_wake(sched),
-            HostEvent::NetWake => self.on_net_wake(sched),
+            HostEvent::DiskWake(_) => self.on_disk_wake(sched),
+            HostEvent::CpuWake(_) => self.on_cpu_wake(sched),
+            HostEvent::NetWake(_) => self.on_net_wake(sched),
             HostEvent::WorkFixedDone(id, tag) => {
                 // Cached file reads complete through a ResumeHandler-tagged
                 // timer without a work-table entry; route them first.
@@ -2711,6 +2724,18 @@ impl World for Host {
             HostEvent::ProbeTick => self.on_probe_tick(sched),
             HostEvent::DirtyTick(id) => self.on_dirty_tick(sched, id),
             HostEvent::SnapshotTick => self.on_snapshot_tick(sched),
+        }
+    }
+
+    /// A resource wake is stale once its [`Retick`] has moved or disarmed
+    /// it. Every other event fires; a `Reboot` step of an abandoned run is
+    /// dropped by `handle` instead, after it has counted as fired.
+    fn is_live(&self, event: &HostEvent) -> bool {
+        match *event {
+            HostEvent::DiskWake(gen) => self.disk_wake.is_live(gen),
+            HostEvent::CpuWake(gen) => self.cpu_wake.is_live(gen),
+            HostEvent::NetWake(gen) => self.net_wake.is_live(gen),
+            _ => true,
         }
     }
 }
