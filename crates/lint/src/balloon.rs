@@ -347,10 +347,10 @@ impl Model for BalloonModel<'_> {
 
     fn initial(&self) -> Result<ModelState, String> {
         if self.cfg.domains == 0 || self.cfg.domains > 8 {
-            return Err("balloon: --domains must be in 1..=8".to_string());
+            return Err("--domains must be in 1..=8".to_string());
         }
         if self.cfg.pages < 2 || self.cfg.pages > 7 {
-            return Err("balloon: --pages must be in 2..=7 (3-bit resident encoding)".to_string());
+            return Err("--pages must be in 2..=7 (3-bit resident encoding)".to_string());
         }
         Ok(ModelState::init(self.cfg))
     }

@@ -207,7 +207,7 @@ impl Model for FleetModel {
             return Err("--hosts must be in 1..=8 (the fleet model is explored raw)".to_string());
         }
         if self.cfg.max_down == 0 {
-            return Err("fleet: --max-down must be at least 1 (no host could ever reboot)".into());
+            return Err("--max-down must be at least 1 (no host could ever reboot)".into());
         }
         Ok(FleetState {
             phases: vec![HostPhase::Serving; self.cfg.hosts as usize],

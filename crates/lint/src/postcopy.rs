@@ -433,13 +433,13 @@ impl Model for PostcopyModel<'_> {
 
     fn initial(&self) -> Result<ModelState, String> {
         if self.cfg.domains == 0 || self.cfg.domains > 8 {
-            return Err("postcopy: --domains must be in 1..=8".to_string());
+            return Err("--domains must be in 1..=8".to_string());
         }
         if self.cfg.pages == 0 || self.cfg.pages > 8 {
-            return Err("postcopy: --pages must be in 1..=8 (8-bit page encoding)".to_string());
+            return Err("--pages must be in 1..=8 (8-bit page encoding)".to_string());
         }
         if self.cfg.working_set > self.cfg.pages {
-            return Err("postcopy: --working-set must not exceed --pages".to_string());
+            return Err("--working-set must not exceed --pages".to_string());
         }
         Ok(ModelState::init(self.cfg))
     }
