@@ -1,22 +1,9 @@
-//! Runs the DESIGN.md ablations. Accepts `--jobs N` (default 1, 0 = all
-//! CPUs).
-fn main() {
-    let jobs = match rh_bench::exec::jobs_from_args(std::env::args().skip(1)) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("ablations: {e}");
-            std::process::exit(2);
-        }
-    };
-    let s = rh_bench::ablations::suspend_order(11, jobs);
-    let r = match rh_bench::ablations::reservation_order() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ablations: reservation-order ablation failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{}", rh_bench::ablations::render(&s, &r));
-    let d = rh_bench::ablations::driver_domains(11, 2, jobs);
-    println!("{}", rh_bench::ablations::render_driver_domains(&d));
+//! Runs the DESIGN.md ablations at 11 VMs. Accepts `--jobs N` (default 1,
+//! 0 = all CPUs).
+use rh_bench::cli::{Flag, Run};
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("ablations", &[Flag::Jobs]);
+    rh_bench::ablations::report(&mut run);
+    run.finish()
 }

@@ -11,95 +11,31 @@
 //!   `BENCH_repro.json`); `-` disables. Default off.
 
 use rh_bench::cell;
-use rh_bench::exec;
+use rh_bench::cli::{Flag, Run};
 use rh_cell::ProvisionStrategy;
 
-const USAGE: &str = "usage: cellbench [--jobs N] [--quick] [--json PATH]";
-
-fn main() {
-    let mut jobs = 1;
-    let mut quick = false;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value; {USAGE}"))
-        };
-        let parsed = match arg.as_str() {
-            "--jobs" => value("--jobs")
-                .and_then(|v| exec::parse_jobs(&v))
-                .map(|j| jobs = j),
-            "--quick" => {
-                quick = true;
-                Ok(())
-            }
-            "--json" => value("--json").map(|path| {
-                json = if path == "-" { None } else { Some(path) };
-            }),
-            other => Err(format!("unknown argument {other:?}; {USAGE}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("cellbench: {e}");
-            std::process::exit(2);
-        }
-    }
-
-    let start = std::time::Instant::now();
-    let results = cell::sweep_points(&cell::grid(quick)).run(jobs);
-    let mut rows = Vec::new();
-    let mut points = Vec::new();
-    for r in &results {
-        points.push(rh_bench::json::ReproPoint {
-            name: r.name.clone(),
-            wall_ms: r.wall.as_secs_f64() * 1e3,
-            spans: r
-                .profile
-                .spans()
-                .iter()
-                .map(|s| (s.label.clone(), s.elapsed.as_secs_f64() * 1e3))
-                .collect(),
-            ok: r.outcome.is_ok(),
-        });
-        match &r.outcome {
-            Ok(p) => rows.push(*p),
-            Err(e) => println!("!! point {:?} failed: {e}\n", r.name),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("cellbench", &[Flag::Jobs, Flag::Quick, Flag::Json(None)]);
+    let rows = run.sweep(cell::sweep_points(&cell::grid(run.quick)));
     println!("{}", cell::render(&rows));
-
-    if let Some(path) = &json {
-        // Headline: the acceptance contrast at the highest swept load —
-        // P99 cold-start of cold re-provision vs balloon-reclaim at
-        // 1.5× overcommit (milliseconds).
-        let load = rows.iter().map(|r| r.cell.load).fold(0.0, f64::max);
-        let headline: Vec<(String, f64)> = rows
-            .iter()
-            .filter(|r| {
-                // Grid cells carry exact literal constants, so a plain
-                // equality on the 1.5x column would be sound — but the
-                // float-eq lint is right that drift would be silent, so
-                // match with a tolerance well under the grid spacing.
-                r.cell.load == load
-                    && (r.cell.overcommit - 1.5).abs() < 0.01
-                    && (r.cell.strategy == ProvisionStrategy::Cold
-                        || r.cell.strategy == ProvisionStrategy::BalloonReclaim)
-            })
-            .map(|r| {
-                (
-                    format!("cell_1.5x_{}_p99_cold_start_ms", r.cell.strategy),
-                    r.p99.as_secs_f64() * 1e3,
-                )
-            })
-            .collect();
-        let doc = rh_bench::json::repro_document(
-            &[("jobs", jobs.to_string()), ("quick", quick.to_string())],
-            start.elapsed().as_secs_f64() * 1e3,
-            &points,
-            &headline,
+    // Headline: the acceptance contrast at the highest swept load — P99
+    // cold-start of cold re-provision vs balloon-reclaim at 1.5×
+    // overcommit (milliseconds).
+    let load = rows.iter().map(|r| r.cell.load).fold(0.0, f64::max);
+    for r in rows.iter().filter(|r| {
+        // Grid cells carry exact literal constants, so a plain equality on
+        // the 1.5x column would be sound — but the float-eq lint is right
+        // that drift would be silent, so match with a tolerance well under
+        // the grid spacing.
+        r.cell.load == load
+            && (r.cell.overcommit - 1.5).abs() < 0.01
+            && (r.cell.strategy == ProvisionStrategy::Cold
+                || r.cell.strategy == ProvisionStrategy::BalloonReclaim)
+    }) {
+        run.headline(
+            format!("cell_1.5x_{}_p99_cold_start_ms", r.cell.strategy),
+            r.p99.as_secs_f64() * 1e3,
         );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("cellbench: failed to write {path}: {e}");
-        }
     }
+    run.finish()
 }

@@ -1,16 +1,9 @@
 //! Regenerates Figure 4: pre/post-reboot task times vs VM memory size.
 //! Accepts `--jobs N` (default 1, 0 = all CPUs).
-fn main() {
-    let jobs = match rh_bench::exec::jobs_from_args(std::env::args().skip(1)) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("fig4: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rows = rh_bench::fig45::fig4(1..=11, jobs);
-    println!(
-        "{}",
-        rh_bench::fig45::render("fig4: task times vs memory size (1 VM, GiB)", "GiB", &rows)
-    );
+use rh_bench::cli::{Flag, Run};
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("fig4", &[Flag::Jobs]);
+    rh_bench::fig45::report_fig4(&mut run);
+    run.finish()
 }

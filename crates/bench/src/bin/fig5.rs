@@ -1,16 +1,9 @@
 //! Regenerates Figure 5: pre/post-reboot task times vs number of VMs.
 //! Accepts `--jobs N` (default 1, 0 = all CPUs).
-fn main() {
-    let jobs = match rh_bench::exec::jobs_from_args(std::env::args().skip(1)) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("fig5: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rows = rh_bench::fig45::fig5(1..=11, jobs);
-    println!(
-        "{}",
-        rh_bench::fig45::render("fig5: task times vs number of VMs (1 GiB each)", "n", &rows)
-    );
+use rh_bench::cli::{Flag, Run};
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("fig5", &[Flag::Jobs]);
+    rh_bench::fig45::report_fig5(&mut run);
+    run.finish()
 }

@@ -1,29 +1,9 @@
 //! Regenerates Figure 6: service downtime per strategy (ssh and JBoss).
 //! Accepts `--jobs N` (default 1, 0 = all CPUs).
-use rh_guest::services::ServiceKind;
-fn main() {
-    let jobs = match rh_bench::exec::jobs_from_args(std::env::args().skip(1)) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("fig6: {e}");
-            std::process::exit(2);
-        }
-    };
-    let ssh = rh_bench::fig6::sweep(ServiceKind::Ssh, 1..=11, jobs);
-    println!(
-        "{}",
-        rh_bench::fig6::render("fig6a: ssh downtime (s)", &ssh)
-    );
-    if let Some(last) = ssh.last() {
-        let fates = rh_bench::fig6::session_fates(last, 60);
-        println!(
-            "ssh session with 60 s client timeout at n={}: warm {}, saved {}, cold {}\n",
-            last.n, fates.warm, fates.saved, fates.cold
-        );
-    }
-    let jboss = rh_bench::fig6::sweep(ServiceKind::Jboss, 1..=11, jobs);
-    println!(
-        "{}",
-        rh_bench::fig6::render("fig6b: JBoss downtime (s)", &jboss)
-    );
+use rh_bench::cli::{Flag, Run};
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("fig6", &[Flag::Jobs]);
+    rh_bench::fig6::report(&mut run);
+    run.finish()
 }

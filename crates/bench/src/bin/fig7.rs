@@ -1,17 +1,8 @@
 //! Regenerates Figure 7: reboot phase breakdown + web throughput trace.
-use rh_vmm::config::RebootStrategy;
-fn main() {
-    for strategy in [RebootStrategy::Warm, RebootStrategy::Cold] {
-        match rh_bench::fig7::run(strategy) {
-            Ok(trace) => {
-                println!("{}", rh_bench::fig7::render_phases(&trace));
-                println!("throughput trace (50-request windows), CSV:");
-                println!("{}", trace.series.to_csv());
-            }
-            Err(e) => {
-                eprintln!("fig7: {strategy} trace failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+use rh_bench::cli::Run;
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("fig7", &[]);
+    rh_bench::fig7::report(&mut run, true);
+    run.finish()
 }

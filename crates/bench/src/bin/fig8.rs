@@ -1,8 +1,8 @@
 //! Regenerates Figure 8: file-read and web throughput before/after reboot.
-use rh_vmm::config::RebootStrategy;
-fn main() {
-    for strategy in [RebootStrategy::Warm, RebootStrategy::Cold] {
-        let r = rh_bench::fig8::run(strategy, 10_000);
-        println!("{}", rh_bench::fig8::render(&r));
-    }
+use rh_bench::cli::Run;
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("fig8", &[]);
+    rh_bench::fig8::report(&mut run);
+    run.finish()
 }

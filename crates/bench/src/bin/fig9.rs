@@ -1,20 +1,19 @@
 //! Regenerates Figure 9 / §6: cluster total throughput under rejuvenation.
-fn main() {
-    let r = rh_bench::fig9::run(4, 215.0, 11);
-    println!("{}", rh_bench::fig9::render(&r));
-    let horizon = rh_sim::time::SimDuration::from_secs(3600);
-    let at = rh_sim::time::SimTime::from_secs(600);
-    let m = rh_cluster::migration::MigrationModel::paper();
-    println!(
-        "warm series CSV:\n{}",
-        r.scenario.warm_series(at, horizon).to_csv()
-    );
-    println!(
-        "cold series CSV:\n{}",
-        r.scenario.cold_series(at, horizon).to_csv()
-    );
-    println!(
-        "migration series CSV:\n{}",
-        r.scenario.migration_series(&m, at, horizon).to_csv()
-    );
+use rh_bench::cli::Run;
+use rh_sim::time::{SimDuration, SimTime};
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("fig9", &[]);
+    if let Some(r) = rh_bench::fig9::report(&mut run) {
+        let (at, horizon) = (SimTime::from_secs(600), SimDuration::from_secs(3600));
+        let m = rh_cluster::migration::MigrationModel::paper();
+        for (name, series) in [
+            ("warm", r.scenario.warm_series(at, horizon)),
+            ("cold", r.scenario.cold_series(at, horizon)),
+            ("migration", r.scenario.migration_series(&m, at, horizon)),
+        ] {
+            println!("{name} series CSV:\n{}", series.to_csv());
+        }
+    }
+    run.finish()
 }

@@ -9,99 +9,35 @@
 //! * `--json PATH` — machine-readable run record (same hardened format as
 //!   `BENCH_repro.json`); `-` disables. Default off.
 
-use rh_bench::exec;
+use rh_bench::cli::{Flag, Run};
 use rh_bench::fleet;
 use rh_fleet::config::CampaignMode;
 use rh_fleet::placement::PlacementKind;
 use rh_vmm::config::RebootStrategy;
 
-const USAGE: &str = "usage: fleetbench [--jobs N] [--quick] [--json PATH]";
-
-fn main() {
-    let mut jobs = 1;
-    let mut quick = false;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value; {USAGE}"))
-        };
-        let parsed = match arg.as_str() {
-            "--jobs" => value("--jobs")
-                .and_then(|v| exec::parse_jobs(&v))
-                .map(|j| jobs = j),
-            "--quick" => {
-                quick = true;
-                Ok(())
-            }
-            "--json" => value("--json").map(|path| {
-                json = if path == "-" { None } else { Some(path) };
-            }),
-            other => Err(format!("unknown argument {other:?}; {USAGE}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("fleetbench: {e}");
-            std::process::exit(2);
-        }
-    }
-
-    let start = std::time::Instant::now();
-    let results = fleet::sweep_points(&fleet::grid(quick)).run(jobs);
-    let mut rows = Vec::new();
-    let mut points = Vec::new();
-    for r in &results {
-        points.push(rh_bench::json::ReproPoint {
-            name: r.name.clone(),
-            wall_ms: r.wall.as_secs_f64() * 1e3,
-            spans: r
-                .profile
-                .spans()
-                .iter()
-                .map(|s| (s.label.clone(), s.elapsed.as_secs_f64() * 1e3))
-                .collect(),
-            ok: r.outcome.is_ok(),
-        });
-        match &r.outcome {
-            Ok(p) => rows.push(*p),
-            Err(e) => println!("!! point {:?} failed: {e}\n", r.name),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("fleetbench", &[Flag::Jobs, Flag::Quick, Flag::Json(None)]);
+    let rows = run.sweep(fleet::sweep_points(&fleet::grid(run.quick)));
     println!("{}", fleet::render(&rows));
-
-    if let Some(path) = &json {
-        // Headline: the acceptance contrast at the smallest full-grid
-        // size (or the quick grid's 200 hosts) — anti-affinity+streamed
-        // vs first-fit+cold SLA violation seconds.
-        let size = rows.iter().map(|r| r.cell.hosts).min().unwrap_or(0);
-        let headline: Vec<(String, f64)> = rows
-            .iter()
-            .filter(|r| {
-                r.cell.hosts == size
-                    && r.cell.mode == CampaignMode::InPlace
-                    && ((r.cell.placement == PlacementKind::FirstFit
-                        && r.cell.strategy == RebootStrategy::Cold)
-                        || (r.cell.placement == PlacementKind::AntiAffinity
-                            && r.cell.strategy == RebootStrategy::Streamed))
-            })
-            .map(|r| {
-                (
-                    format!(
-                        "fleet_{}h_{}_{}_sla_violation_s",
-                        r.cell.hosts, r.cell.placement, r.cell.strategy
-                    ),
-                    r.sla_violation_s,
-                )
-            })
-            .collect();
-        let doc = rh_bench::json::repro_document(
-            &[("jobs", jobs.to_string()), ("quick", quick.to_string())],
-            start.elapsed().as_secs_f64() * 1e3,
-            &points,
-            &headline,
+    // Headline: the acceptance contrast at the smallest full-grid size (or
+    // the quick grid's 200 hosts) — anti-affinity+streamed vs
+    // first-fit+cold SLA violation seconds.
+    let size = rows.iter().map(|r| r.cell.hosts).min().unwrap_or(0);
+    for r in rows.iter().filter(|r| {
+        r.cell.hosts == size
+            && r.cell.mode == CampaignMode::InPlace
+            && ((r.cell.placement == PlacementKind::FirstFit
+                && r.cell.strategy == RebootStrategy::Cold)
+                || (r.cell.placement == PlacementKind::AntiAffinity
+                    && r.cell.strategy == RebootStrategy::Streamed))
+    }) {
+        run.headline(
+            format!(
+                "fleet_{}h_{}_{}_sla_violation_s",
+                r.cell.hosts, r.cell.placement, r.cell.strategy
+            ),
+            r.sla_violation_s,
         );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("fleetbench: failed to write {path}: {e}");
-        }
     }
+    run.finish()
 }

@@ -9,88 +9,28 @@
 //! * `--json PATH` — machine-readable run record (same hardened format as
 //!   `BENCH_repro.json`); `-` disables. Default off.
 
-use rh_bench::exec;
+use rh_bench::cli::{Flag, Run};
 use rh_bench::frontier;
 use rh_vmm::config::RebootStrategy;
 
-const USAGE: &str = "usage: frontier [--jobs N] [--quick] [--json PATH]";
-
-fn main() {
-    let mut jobs = 1;
-    let mut quick = false;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value; {USAGE}"))
-        };
-        let parsed = match arg.as_str() {
-            "--jobs" => value("--jobs")
-                .and_then(|v| exec::parse_jobs(&v))
-                .map(|j| jobs = j),
-            "--quick" => {
-                quick = true;
-                Ok(())
-            }
-            "--json" => value("--json").map(|path| {
-                json = if path == "-" { None } else { Some(path) };
-            }),
-            other => Err(format!("unknown argument {other:?}; {USAGE}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("frontier: {e}");
-            std::process::exit(2);
-        }
-    }
-
-    let start = std::time::Instant::now();
-    let results = frontier::sweep_points(&frontier::grid(quick)).run(jobs);
-    let mut rows = Vec::new();
-    let mut points = Vec::new();
-    for r in &results {
-        points.push(rh_bench::json::ReproPoint {
-            name: r.name.clone(),
-            wall_ms: r.wall.as_secs_f64() * 1e3,
-            spans: r
-                .profile
-                .spans()
-                .iter()
-                .map(|s| (s.label.clone(), s.elapsed.as_secs_f64() * 1e3))
-                .collect(),
-            ok: r.outcome.is_ok(),
-        });
-        match &r.outcome {
-            Ok(p) => rows.push(*p),
-            Err(e) => println!("!! point {:?} failed: {e}\n", r.name),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("frontier", &[Flag::Jobs, Flag::Quick, Flag::Json(None)]);
+    let rows = run.sweep(frontier::sweep_points(&frontier::grid(run.quick)));
     println!("{}", frontier::render(&rows));
-
-    if let Some(path) = &json {
-        let headline: Vec<(String, f64)> = rows
-            .iter()
-            .filter(|r| r.cell.mem_gib == 1 && r.cell.disk_mbps == 85)
-            .map(|r| {
-                let suffix = if r.cell.strategy == RebootStrategy::Streamed {
-                    format!("_loc{:.2}", r.cell.locality)
-                } else {
-                    String::new()
-                };
-                (
-                    format!("frontier_{}{suffix}_downtime_s", r.cell.strategy),
-                    r.downtime_s,
-                )
-            })
-            .collect();
-        let doc = rh_bench::json::repro_document(
-            &[("jobs", jobs.to_string()), ("quick", quick.to_string())],
-            start.elapsed().as_secs_f64() * 1e3,
-            &points,
-            &headline,
+    // Headline: every strategy's downtime at 1 GiB on the 85 MB/s disk.
+    for r in rows
+        .iter()
+        .filter(|r| r.cell.mem_gib == 1 && r.cell.disk_mbps == 85)
+    {
+        let suffix = if r.cell.strategy == RebootStrategy::Streamed {
+            format!("_loc{:.2}", r.cell.locality)
+        } else {
+            String::new()
+        };
+        run.headline(
+            format!("frontier_{}{suffix}_downtime_s", r.cell.strategy),
+            r.downtime_s,
         );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("frontier: failed to write {path}: {e}");
-        }
     }
+    run.finish()
 }

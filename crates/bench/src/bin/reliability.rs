@@ -1,7 +1,9 @@
 //! Runs the reliability experiment: reactive vs time-based vs adaptive
 //! rejuvenation under an injected VMM heap leak.
-use rh_sim::time::SimDuration;
-fn main() {
-    let r = rh_bench::reliability::run(4, SimDuration::from_secs(24 * 3600));
-    println!("{}", rh_bench::reliability::render(&r));
+use rh_bench::cli::Run;
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("reliability", &[]);
+    rh_bench::reliability::report(&mut run);
+    run.finish()
 }

@@ -1,5 +1,8 @@
 //! Regenerates §5.2: quick reload vs hardware reset.
-fn main() {
-    let r = rh_bench::sec52::run();
-    println!("{}", rh_bench::sec52::render(&r));
+use rh_bench::cli::Run;
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("sec52", &[]);
+    rh_bench::sec52::report(&mut run);
+    run.finish()
 }

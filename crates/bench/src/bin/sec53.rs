@@ -1,5 +1,8 @@
 //! Regenerates §5.3: availability comparison.
-fn main() {
-    let r = rh_bench::sec53::run();
-    println!("{}", rh_bench::sec53::render(&r));
+use rh_bench::cli::Run;
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("sec53", &[]);
+    rh_bench::sec53::report(&mut run);
+    run.finish()
 }

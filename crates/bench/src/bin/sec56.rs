@@ -1,18 +1,9 @@
 //! Regenerates §5.6: least-squares extraction of the downtime model.
 //! Accepts `--jobs N` (default 1, 0 = all CPUs).
-fn main() {
-    let jobs = match rh_bench::exec::jobs_from_args(std::env::args().skip(1)) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("sec56: {e}");
-            std::process::exit(2);
-        }
-    };
-    match rh_bench::sec56::run(1..=11, jobs) {
-        Ok(r) => println!("{}", rh_bench::sec56::render(&r)),
-        Err(e) => {
-            eprintln!("sec56: model fit failed: {e}");
-            std::process::exit(1);
-        }
-    }
+use rh_bench::cli::{Flag, Run};
+
+fn main() -> std::process::ExitCode {
+    let mut run = Run::start("sec56", &[Flag::Jobs]);
+    rh_bench::sec56::report(&mut run);
+    run.finish()
 }

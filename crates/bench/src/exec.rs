@@ -22,8 +22,9 @@
 //!
 //! The executor runs on the shared deterministic worker pool
 //! ([`rh_sim::pool`] — std-only `std::thread::scope`, no external crates,
-//! README §"Hermetic build") and is the engine behind `--jobs N` in the
-//! `all`/`fig4`/`fig5`/`fig6` binaries. See DESIGN.md §10 for the
+//! README §"Hermetic build") and is the engine behind `--jobs N` in every
+//! experiment binary, which runs its sweeps through
+//! [`Run::sweep`](crate::cli::Run::sweep). See DESIGN.md §10 for the
 //! determinism argument.
 //!
 //! # Examples
@@ -57,6 +58,9 @@ struct Point<T> {
     name: String,
     run: Box<dyn FnOnce(SimRng) -> T + Send + 'static>,
 }
+
+/// A point and its RNG stream, waiting for the worker that claims it.
+type Slot<T> = Mutex<Option<(Point<T>, SimRng)>>;
 
 /// Why a point failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,11 +101,6 @@ impl<T> PointResult<T> {
     pub fn value(&self) -> Option<&T> {
         self.outcome.as_ref().ok()
     }
-
-    /// Consumes the result, returning the value if the point succeeded.
-    pub fn into_value(self) -> Option<T> {
-        self.outcome.ok()
-    }
 }
 
 /// A batch of named experiment points executed across `jobs` workers.
@@ -133,16 +132,6 @@ impl<T: Send + 'static> Sweep<T> {
         }
     }
 
-    /// Number of submitted points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Submits a named point. `f` receives an independent [`SimRng`] stream
     /// derived from the sweep seed and this point's submission index
     /// (points that need no randomness simply ignore it).
@@ -167,7 +156,7 @@ impl<T: Send + 'static> Sweep<T> {
         // Each slot owns (point, rng); the pool worker for index i takes the
         // slot's contents exactly once (`rh_sim::pool` handles the cursor,
         // scoped threads, and submission-order assembly).
-        let tasks: Vec<Mutex<Option<(Point<T>, SimRng)>>> = self
+        let tasks: Vec<Slot<T>> = self
             .points
             .into_iter()
             .zip(rngs)
@@ -201,20 +190,21 @@ impl<T: Send + 'static> Sweep<T> {
         })
     }
 
-    /// Runs the sweep and returns only the successful values, in submission
-    /// order, reporting each failed point on stderr. The convenience
-    /// wrapper the sweep modules (`fig45`, `fig6`, `sec56`, `ablations`)
-    /// use: a paper sweep with a failing point still renders every other
-    /// row.
+    /// Runs the sweep and returns every value in submission order, for
+    /// tests, where a failed point fails the test. The binaries run their
+    /// sweeps through [`Run::sweep`](crate::cli::Run::sweep) instead, which
+    /// records a failed point and goes on.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first failed point.
     pub fn run_values(self, jobs: usize) -> Vec<T> {
         self.run(jobs)
             .into_iter()
-            .filter_map(|r| match r.outcome {
-                Ok(v) => Some(v),
-                Err(e) => {
-                    eprintln!("sweep point {:?} failed: {e}", r.name);
-                    None
-                }
+            .map(|r| match r.outcome {
+                Ok(v) => v,
+                // lint:allow(unwrap-panic): documented test helper; binaries use Run::sweep
+                Err(e) => panic!("sweep point {:?} failed: {e}", r.name),
             })
             .collect()
     }
@@ -262,29 +252,6 @@ pub fn available_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Parses the arguments of a figure binary that accepts only `--jobs N`
-/// (default 1, 0 = all CPUs).
-///
-/// # Errors
-///
-/// Returns a usage message on an unknown flag or a malformed value.
-pub fn jobs_from_args(args: impl Iterator<Item = String>) -> Result<usize, String> {
-    let mut jobs = 1;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" => {
-                let v = args
-                    .next()
-                    .ok_or("--jobs requires a value; usage: --jobs N")?;
-                jobs = parse_jobs(&v)?;
-            }
-            other => return Err(format!("unknown argument {other:?}; usage: --jobs N")),
-        }
-    }
-    Ok(jobs)
 }
 
 #[cfg(test)]
@@ -348,18 +315,18 @@ mod tests {
     }
 
     #[test]
-    fn run_values_drops_failures_keeps_order() {
+    #[should_panic(expected = "sweep point \"b\" failed: panicked: nope")]
+    fn run_values_panics_naming_the_failed_point() {
         let mut sweep = Sweep::new(0);
         sweep.point("a", |_rng| 1u32);
         sweep.point("b", |_rng| panic!("nope"));
         sweep.point("c", |_rng| 3u32);
-        assert_eq!(sweep.run_values(3), vec![1, 3]);
+        sweep.run_values(3);
     }
 
     #[test]
     fn empty_sweep_is_fine() {
         let sweep: Sweep<u8> = Sweep::new(1);
-        assert!(sweep.is_empty());
         assert!(sweep.run(4).is_empty());
     }
 
@@ -378,15 +345,6 @@ mod tests {
         assert_eq!(parse_jobs("0"), Ok(available_cpus()));
         assert!(parse_jobs("many").is_err());
         assert!(parse_jobs("-1").is_err());
-    }
-
-    #[test]
-    fn jobs_from_args_parses_the_flag() {
-        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(argv(&[]).into_iter()), Ok(1));
-        assert_eq!(jobs_from_args(argv(&["--jobs", "4"]).into_iter()), Ok(4));
-        assert!(jobs_from_args(argv(&["--jobs"]).into_iter()).is_err());
-        assert!(jobs_from_args(argv(&["--bogus"]).into_iter()).is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@ use rh_obs::Phase;
 use rh_vmm::config::RebootStrategy;
 use rh_vmm::harness::HostSim;
 
+use crate::cli::Run;
 use crate::exec::{Sweep, DEFAULT_SEED};
 use crate::util::{booted_n_vms, booted_single_vm, secs2, Table};
 
@@ -73,12 +74,6 @@ pub fn fig4_sweep(sizes: impl Iterator<Item = u64>) -> Sweep<(u64, TaskTimes)> {
     sweep
 }
 
-/// Fig. 4 sweep: `(mem_gib, times)` for 1..=11 GiB, single VM, across
-/// `jobs` workers.
-pub fn fig4(sizes: impl Iterator<Item = u64>, jobs: usize) -> Vec<(u64, TaskTimes)> {
-    fig4_sweep(sizes).run_values(jobs)
-}
-
 /// Fig. 5 as executor points: one per VM count.
 pub fn fig5_sweep(counts: impl Iterator<Item = u32>) -> Sweep<(u32, TaskTimes)> {
     let mut sweep = Sweep::new(DEFAULT_SEED);
@@ -88,12 +83,6 @@ pub fn fig5_sweep(counts: impl Iterator<Item = u32>) -> Sweep<(u32, TaskTimes)> 
         });
     }
     sweep
-}
-
-/// Fig. 5 sweep: `(n, times)` for 1..=11 VMs of 1 GiB, across `jobs`
-/// workers.
-pub fn fig5(counts: impl Iterator<Item = u32>, jobs: usize) -> Vec<(u32, TaskTimes)> {
-    fig5_sweep(counts).run_values(jobs)
 }
 
 /// Renders a sweep as a table with the given x-axis label.
@@ -124,6 +113,20 @@ pub fn render<T: std::fmt::Display>(title: &str, x_label: &str, rows: &[(T, Task
     t
 }
 
+/// Prints Fig. 4 over 1..=`--max-n` GiB.
+pub fn report_fig4(run: &mut Run) {
+    let rows = run.sweep(fig4_sweep(1..=u64::from(run.max_n)));
+    let title = "fig4: task times vs memory size (1 VM, GiB)";
+    println!("{}", render(title, "GiB", &rows));
+}
+
+/// Prints Fig. 5 over 1..=`--max-n` VMs.
+pub fn report_fig5(run: &mut Run) {
+    let rows = run.sweep(fig5_sweep(1..=run.max_n));
+    let title = "fig5: task times vs number of VMs (1 GiB each)";
+    println!("{}", render(title, "n", &rows));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +135,7 @@ mod tests {
     fn fig4_shape_suspend_flat_save_linear() {
         // Three points are enough to check the shape in a unit test; the
         // bench binary runs the full 1..=11 sweep.
-        let rows = fig4([1u64, 6, 11].into_iter(), 2);
+        let rows = fig4_sweep([1u64, 6, 11].into_iter()).run_values(2);
         let (_, t1) = rows[0];
         let (_, t11) = rows[2];
         // On-memory suspend/resume hardly depends on memory size.
@@ -155,7 +158,7 @@ mod tests {
 
     #[test]
     fn fig5_shape_everything_grows_but_onmem_stays_tiny() {
-        let rows = fig5([1u32, 11].into_iter(), 2);
+        let rows = fig5_sweep([1u32, 11].into_iter()).run_values(2);
         let (_, t1) = rows[0];
         let (_, t11) = rows[1];
         // Paper: at 11 VMs suspend 0.04 s, resume 4.2 s.

@@ -9,6 +9,7 @@ use rh_guest::session::{SessionFate, TcpSession};
 use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::RebootStrategy;
 
+use crate::cli::Run;
 use crate::exec::{Sweep, DEFAULT_SEED};
 use crate::util::{booted_n_vms, secs, Table};
 
@@ -52,13 +53,30 @@ pub fn sweep_points(service: ServiceKind, counts: impl Iterator<Item = u32>) -> 
     sweep
 }
 
-/// Full sweep for one service, across `jobs` workers.
-pub fn sweep(
-    service: ServiceKind,
-    counts: impl Iterator<Item = u32>,
-    jobs: usize,
-) -> Vec<DowntimeRow> {
-    sweep_points(service, counts).run_values(jobs)
+/// Prints both panels of Fig. 6 over 1..=`--max-n` VMs, with §5.3's ssh
+/// session fates at the largest count between them.
+pub fn report(run: &mut Run) {
+    let ssh = run.sweep(sweep_points(ServiceKind::Ssh, 1..=run.max_n));
+    println!("{}", render("fig6a: ssh downtime (s)", &ssh));
+    if let Some(last) = ssh.last() {
+        let fates = session_fates(last, 60);
+        println!(
+            "ssh session with 60 s client timeout at n={}: warm {}, saved {}, cold {}\n",
+            last.n, fates.warm, fates.saved, fates.cold
+        );
+        for (strategy, secs) in [
+            ("warm", last.warm),
+            ("saved", last.saved),
+            ("cold", last.cold),
+        ] {
+            run.headline(
+                format!("fig6a_{strategy}_downtime_s_at_{}vms", last.n),
+                secs,
+            );
+        }
+    }
+    let jboss = run.sweep(sweep_points(ServiceKind::Jboss, 1..=run.max_n));
+    println!("{}", render("fig6b: JBoss downtime (s)", &jboss));
 }
 
 /// Renders one panel of Fig. 6.
@@ -122,7 +140,7 @@ mod tests {
 
     #[test]
     fn saved_downtime_grows_fastest_with_n() {
-        let rows = sweep(ServiceKind::Ssh, [2u32, 8].into_iter(), 2);
+        let rows = sweep_points(ServiceKind::Ssh, [2u32, 8].into_iter()).run_values(2);
         let slope = |f: fn(&DowntimeRow) -> f64| (f(&rows[1]) - f(&rows[0])) / 6.0;
         let warm_slope = slope(|r| r.warm);
         let saved_slope = slope(|r| r.saved);

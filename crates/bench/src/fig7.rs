@@ -21,6 +21,9 @@ use rh_vmm::domain::{DomainId, DomainSpec};
 use rh_vmm::harness::HostSim;
 use rh_vmm::metrics::PhaseSpan;
 
+use crate::cli::Run;
+use crate::exec::{Sweep, DEFAULT_SEED};
+
 /// Web corpus for the 1 GiB VM: 1 200 × 512 KB (fits the page cache).
 pub fn fig7_corpus() -> FileSet {
     FileSet::new(1_200, 512 * 1024)
@@ -151,6 +154,47 @@ pub fn render_phases(trace: &Fig7Trace) -> String {
         }
     }
     out
+}
+
+/// Prints the warm and cold phase breakdowns, each followed by its
+/// throughput trace as CSV when `csv` is set (the `fig7` binary; `all`
+/// leaves the traces out).
+pub fn report(run: &mut Run, csv: bool) {
+    let mut sweep = Sweep::new(DEFAULT_SEED);
+    for strategy in [RebootStrategy::Warm, RebootStrategy::Cold] {
+        sweep.point(format!("fig7/{strategy}"), move |_rng| self::run(strategy));
+    }
+    for trace in run.sweep(sweep) {
+        match trace {
+            Ok(t) => {
+                println!("{}", render_phases(&t));
+                if csv {
+                    println!("throughput trace (50-request windows), CSV:");
+                    println!("{}", t.series.to_csv());
+                }
+            }
+            Err(e) => run.fail(format!("fig7 trace failed: {e}")),
+        }
+    }
+}
+
+/// Writes the typed event streams of a canonical 2-domain warm and cold
+/// reboot as JSON Lines to `--trace-jsonl`, if given. The reboots run
+/// through the executor, so every `--jobs` count writes the same bytes.
+pub fn traces(run: &mut Run) {
+    let Some(path) = run.trace_jsonl.clone() else {
+        return;
+    };
+    let mut sweep = Sweep::new(DEFAULT_SEED);
+    for strategy in [RebootStrategy::Warm, RebootStrategy::Cold] {
+        sweep.point(format!("trace/{strategy}"), move |_rng| {
+            let mut sim = rh_vmm::harness::booted_host(2, ServiceKind::Ssh);
+            sim.reboot_and_wait(strategy);
+            sim.host().trace.to_jsonl()
+        });
+    }
+    let logs = run.sweep(sweep);
+    run.write(&path, logs.concat());
 }
 
 #[cfg(test)]

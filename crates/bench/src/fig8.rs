@@ -16,6 +16,9 @@ use rh_vmm::config::{HostConfig, RebootStrategy};
 use rh_vmm::domain::{DomainId, DomainSpec};
 use rh_vmm::harness::HostSim;
 
+use crate::cli::Run;
+use crate::exec::{Sweep, DEFAULT_SEED};
+
 /// Before/after throughput pair (bytes/s for 8a, req/s for 8b).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeforeAfter {
@@ -134,6 +137,26 @@ pub fn render(r: &Fig8Result) -> String {
         r.web.after,
         -100.0 * r.web.degradation(),
     )
+}
+
+/// Prints Fig. 8 for the warm and the cold reboot (a 500-file web corpus
+/// under `--quick`, else the paper's 10 000) and records the cold
+/// degradations as headlines.
+pub fn report(run: &mut Run) {
+    let web_files = if run.quick { 500 } else { 10_000 };
+    let mut sweep = Sweep::new(DEFAULT_SEED);
+    for strategy in [RebootStrategy::Warm, RebootStrategy::Cold] {
+        sweep.point(format!("fig8/{strategy}"), move |_rng| {
+            self::run(strategy, web_files)
+        });
+    }
+    for r in run.sweep(sweep) {
+        println!("{}", render(&r));
+        if r.strategy == RebootStrategy::Cold {
+            run.headline("fig8_cold_file_read_degradation", r.file_read.degradation());
+            run.headline("fig8_cold_web_degradation", r.web.degradation());
+        }
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use rh_guest::services::ServiceKind;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::RebootStrategy;
 
+use crate::cli::Run;
 use crate::fig6;
 
 /// The Fig. 9 outputs.
@@ -96,6 +97,16 @@ pub fn render(r: &Fig9Result) -> String {
         r.rolling_warm.service_never_fully_down,
         r.rolling_cold.service_never_fully_down,
     )
+}
+
+/// Prints Fig. 9 for a 4-host cluster of `--max-n`-VM hosts at
+/// 215 req/s each, and returns the result (the `fig9` binary adds the
+/// throughput series). `None` when the run failed.
+pub fn report(run: &mut Run) -> Option<Fig9Result> {
+    let n_vms = run.max_n;
+    let r = run.one("fig9", move || self::run(4, 215.0, n_vms))?;
+    println!("{}", render(&r));
+    Some(r)
 }
 
 #[cfg(test)]

@@ -161,11 +161,6 @@ pub fn sweep_points(cells: &[FleetCell]) -> Sweep<FleetPoint> {
     sweep
 }
 
-/// Runs the whole fleet sweep across `jobs` workers.
-pub fn sweep(quick: bool, jobs: usize) -> Vec<FleetPoint> {
-    sweep_points(&grid(quick)).run_values(jobs)
-}
-
 /// Renders the sweep table.
 pub fn render(rows: &[FleetPoint]) -> Table {
     let mut t = Table::new(
@@ -206,7 +201,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_shows_the_policy_contrast() {
-        let rows = sweep(true, 2);
+        let rows = sweep_points(&grid(true)).run_values(2);
         assert_eq!(rows.len(), grid(true).len(), "every cell must complete");
         let at = |p, s| {
             rows.iter()
@@ -228,8 +223,8 @@ mod tests {
 
     #[test]
     fn quick_sweep_is_identical_for_any_worker_count() {
-        let sequential = render(&sweep(true, 1)).render();
-        let parallel = render(&sweep(true, 4)).render();
+        let sequential = render(&sweep_points(&grid(true)).run_values(1)).render();
+        let parallel = render(&sweep_points(&grid(true)).run_values(4)).render();
         assert_eq!(sequential, parallel);
     }
 

@@ -151,11 +151,6 @@ pub fn sweep_points(cells: &[FrontierCell]) -> Sweep<FrontierPoint> {
     sweep
 }
 
-/// Runs the whole frontier across `jobs` workers.
-pub fn sweep(quick: bool, jobs: usize) -> Vec<FrontierPoint> {
-    sweep_points(&grid(quick)).run_values(jobs)
-}
-
 /// Renders the frontier table.
 pub fn render(rows: &[FrontierPoint]) -> Table {
     let mut t = Table::new(
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn quick_frontier_orders_the_strategies() {
-        let rows = sweep(true, 2);
+        let rows = sweep_points(&grid(true)).run_values(2);
         assert_eq!(rows.len(), grid(true).len(), "every cell must complete");
         for disk in [85u64, 170] {
             let at = |s| {
@@ -247,8 +242,8 @@ mod tests {
     #[test]
     fn sweep_is_identical_for_any_worker_count() {
         // The determinism contract behind `--jobs`: byte-identical tables.
-        let sequential = render(&sweep(true, 1)).render();
-        let parallel = render(&sweep(true, 4)).render();
+        let sequential = render(&sweep_points(&grid(true)).run_values(1)).render();
+        let parallel = render(&sweep_points(&grid(true)).run_values(4)).render();
         assert_eq!(sequential, parallel);
     }
 

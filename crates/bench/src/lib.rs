@@ -19,6 +19,11 @@
 //! | [`frontier`] | DESIGN.md §15 — the 5-strategy downtime/degradation frontier |
 //! | [`fleet`] | DESIGN.md §16 — datacenter fleet: placement × campaign SLA sweep |
 //! | [`cell`] | DESIGN.md §17 — serverless cell: cold-start latency vs overcommit per strategy |
+//! | [`cli`] | the front end of every binary but `corebench`: flags, run record, exit status |
+//!
+//! Each experiment module prints its result through a `report` function
+//! on a [`cli::Run`], which runs and records the module's sweeps; the
+//! `all` binary is the ordered list of those calls.
 //!
 //! The [`json`] module is the in-tree JSON emitter/validator behind the
 //! `BENCH_repro.json` run records (string escaping, NaN→null hardening,
@@ -42,6 +47,7 @@
 
 pub mod ablations;
 pub mod cell;
+pub mod cli;
 pub mod core;
 pub mod exec;
 pub mod fig45;

@@ -28,6 +28,7 @@ use rh_vmm::config::RebootStrategy;
 use rh_vmm::harness::{booted_host, HostSim};
 use rh_vmm::{DomainId, InjectPoint};
 
+use crate::cli::Run;
 use crate::exec::Sweep;
 
 /// Outcome of one operating mode.
@@ -159,6 +160,15 @@ pub fn run(vms: u32, horizon: SimDuration) -> ReliabilityResult {
         reactive,
         time_based,
         adaptive,
+    }
+}
+
+/// Prints the comparison over a 24 h horizon (6 h under `--quick`).
+pub fn report(run: &mut Run) {
+    let hours = if run.quick { 6 } else { 24 };
+    let horizon = SimDuration::from_secs(hours * 3600);
+    if let Some(r) = run.one("reliability", move || self::run(4, horizon)) {
+        println!("{}", render(&r));
     }
 }
 
@@ -314,16 +324,15 @@ pub fn run_fault_point(
     }
 }
 
-/// Sweeps fault rates × both recovery policies across `jobs` workers,
-/// deterministically: point `i` sees only stream `i` of `seed`, so the
-/// output is byte-identical at any worker count.
+/// The fault sweep as executor points: fault rates × both recovery
+/// policies. Point `i` sees only stream `i` of `seed`, so the results are
+/// byte-identical at any worker count.
 pub fn fault_sweep(
     vms: u32,
     rates_per_hour: &[f64],
     horizon: SimDuration,
     seed: u64,
-    jobs: usize,
-) -> Vec<FaultPointResult> {
+) -> Sweep<FaultPointResult> {
     let mut sweep = Sweep::new(seed);
     for &rate in rates_per_hour {
         for policy in [RecoveryPolicy::Microreboot, RecoveryPolicy::ColdReboot] {
@@ -332,7 +341,7 @@ pub fn fault_sweep(
             });
         }
     }
-    sweep.run_values(jobs)
+    sweep
 }
 
 /// Renders the fault sweep as availability/MTTR curves vs fault rate.
@@ -379,8 +388,8 @@ mod tests {
     fn fault_sweep_is_deterministic_across_worker_counts() {
         let rates = [2.0];
         let horizon = SimDuration::from_secs(2 * 3600);
-        let serial = fault_sweep(3, &rates, horizon, 7, 1);
-        let parallel = fault_sweep(3, &rates, horizon, 7, 2);
+        let serial = fault_sweep(3, &rates, horizon, 7).run_values(1);
+        let parallel = fault_sweep(3, &rates, horizon, 7).run_values(2);
         assert_eq!(serial, parallel, "results must not depend on --jobs");
         assert_eq!(
             render_fault_sweep(&serial, 3, horizon),
@@ -390,7 +399,7 @@ mod tests {
 
     #[test]
     fn microreboot_beats_cold_reboot_on_availability_and_mttr() {
-        let points = fault_sweep(3, &[4.0], SimDuration::from_secs(4 * 3600), 2007, 2);
+        let points = fault_sweep(3, &[4.0], SimDuration::from_secs(4 * 3600), 2007).run_values(2);
         let warm = points
             .iter()
             .find(|p| p.policy == RecoveryPolicy::Microreboot)

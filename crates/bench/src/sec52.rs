@@ -9,6 +9,7 @@ use rh_guest::services::ServiceKind;
 use rh_obs::Phase;
 use rh_vmm::config::RebootStrategy;
 
+use crate::cli::Run;
 use crate::util::booted_single_vm;
 
 /// §5.2 measurements (seconds).
@@ -66,6 +67,14 @@ pub fn render(r: &QuickReloadResult) -> String {
         r.hardware_reset,
         r.saving()
     )
+}
+
+/// Prints §5.2 and records its saving as a headline.
+pub fn report(run: &mut Run) {
+    if let Some(r) = run.one("sec52", self::run) {
+        println!("{}", render(&r));
+        run.headline("sec52_saving_s", r.saving());
+    }
 }
 
 #[cfg(test)]

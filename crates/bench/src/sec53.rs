@@ -8,6 +8,7 @@ use rh_guest::services::ServiceKind;
 use rh_rejuv::availability::{nines, percent, AvailabilityComparison, AvailabilityModel};
 use rh_vmm::domain::DomainId;
 
+use crate::cli::Run;
 use crate::fig6;
 use crate::util::booted_n_vms;
 
@@ -60,6 +61,13 @@ pub fn render(r: &AvailabilityResult) -> String {
         percent(r.comparison.saved),
         nines(r.comparison.saved),
     )
+}
+
+/// Prints §5.3.
+pub fn report(run: &mut Run) {
+    if let Some(r) = run.one("sec53", self::run) {
+        println!("{}", render(&r));
+    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use rh_rejuv::fit::{fit_model, ComponentMeasurements, FitError};
 use rh_rejuv::model::DowntimeModel;
 use rh_vmm::config::RebootStrategy;
 
+use crate::cli::Run;
 use crate::exec::{Sweep, DEFAULT_SEED};
 use crate::util::booted_n_vms;
 
@@ -115,16 +116,22 @@ pub fn fit_points(points: &[PhasePoint]) -> Result<ModelFitResult, FitError> {
     })
 }
 
-/// Runs the sweep over the given VM counts across `jobs` workers and fits
-/// the model.
-///
-/// # Errors
-///
-/// Returns a [`FitError`] when the sweep is too small to fit (fewer than
-/// two distinct VM counts).
-pub fn run(counts: impl Iterator<Item = u32>, jobs: usize) -> Result<ModelFitResult, FitError> {
-    let points = sweep_points(counts).run_values(jobs);
-    fit_points(&points)
+/// Prints the model fitted over 1..=`--max-n` VMs and records the
+/// fitted saving at `--max-n` VMs (α = 0.5) as a headline. A failed fit
+/// fails the run.
+pub fn report(run: &mut Run) {
+    let max_n = run.max_n;
+    let points = run.sweep(sweep_points(1..=max_n));
+    match fit_points(&points) {
+        Ok(r) => {
+            println!("{}", render(&r));
+            run.headline(
+                format!("sec56_saving_s_at_{max_n}vms_alpha05"),
+                r.fitted.saving(f64::from(max_n), 0.5),
+            );
+        }
+        Err(e) => run.fail(format!("sec56 model fit failed: {e}")),
+    }
 }
 
 /// Renders the fitted-vs-paper comparison.
@@ -168,7 +175,7 @@ mod tests {
     #[test]
     fn fitted_coefficients_land_near_paper() {
         // A 4-point sweep keeps the test fast; the bin runs 1..=11.
-        let r = run([1u32, 4, 8, 11].into_iter(), 2).unwrap();
+        let r = fit_points(&sweep_points([1u32, 4, 8, 11].into_iter()).run_values(2)).unwrap();
         let f = &r.fitted;
         // resume(n): paper slope 0.43 — ours is domain_create + handler.
         assert!(
@@ -209,7 +216,7 @@ mod tests {
     #[test]
     fn saving_is_positive_for_all_n_and_alpha() {
         // The paper's punchline: r(n) > 0 under α ≤ 1 — warm always wins.
-        let r = run([1u32, 6, 11].into_iter(), 2).unwrap();
+        let r = fit_points(&sweep_points([1u32, 6, 11].into_iter()).run_values(2)).unwrap();
         for alpha in [0.1, 0.5, 1.0] {
             for n in 1..=16 {
                 let s = r.fitted.saving(n as f64, alpha);
@@ -227,7 +234,7 @@ mod tests {
 
     #[test]
     fn render_is_complete() {
-        let r = run([1u32, 11].into_iter(), 1).unwrap();
+        let r = fit_points(&sweep_points([1u32, 11].into_iter()).run_values(1)).unwrap();
         let s = render(&r);
         for key in [
             "reboot_vmm",

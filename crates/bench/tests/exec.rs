@@ -9,12 +9,12 @@ use rh_guest::services::ServiceKind;
 /// Renders fig5 rows to the exact text the `fig5` binary prints, so the
 /// comparison covers formatting, not just float equality.
 fn fig5_text(jobs: usize) -> String {
-    let rows = rh_bench::fig45::fig5(1..=5, jobs);
+    let rows = rh_bench::fig45::fig5_sweep(1..=5).run_values(jobs);
     rh_bench::fig45::render("fig5", "n", &rows).to_string()
 }
 
 fn fig6_text(jobs: usize) -> String {
-    let rows = rh_bench::fig6::sweep(ServiceKind::Ssh, 1..=4, jobs);
+    let rows = rh_bench::fig6::sweep_points(ServiceKind::Ssh, 1..=4).run_values(jobs);
     rh_bench::fig6::render("fig6a", &rows).to_string()
 }
 
