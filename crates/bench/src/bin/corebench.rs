@@ -65,7 +65,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 opts.tolerance = value("--tolerance")?
                     .parse()
                     .map_err(|_| format!("--tolerance: not a number; {USAGE}"))?;
-                if !(opts.tolerance > 0.0) {
+                if opts.tolerance.is_nan() || opts.tolerance <= 0.0 {
                     return Err(format!("--tolerance must be positive; {USAGE}"));
                 }
             }

@@ -43,7 +43,7 @@ impl ArmState {
         match self.arm.trigger {
             Trigger::Always => true,
             Trigger::Nth(n) => self.matches == n,
-            Trigger::EveryNth(n) => n > 0 && self.matches % n == 0,
+            Trigger::EveryNth(n) => n > 0 && self.matches.is_multiple_of(n),
             Trigger::Chance(p) => self.rng.chance(p),
         }
     }

@@ -151,7 +151,7 @@ impl FleetWorld {
         let lo = self.last_touch.max(self.cfg.measure_from);
         if now > lo {
             if frac < self.cfg.sla_floor {
-                self.violation = self.violation + (now - lo);
+                self.violation += now - lo;
             }
             self.min_frac = self.min_frac.min(frac);
         }
@@ -310,7 +310,7 @@ impl FleetWorld {
                 continue;
             };
             let est = self.migration.migrate_vm(self.cfg.vm_mem_bytes);
-            cum = cum + est.total; // one migration stream, serialized
+            cum += est.total; // one migration stream, serialized
             self.store.begin_migration(vm, target);
             self.metrics.record("fleet.migration_total", est.total);
             pending += 1;

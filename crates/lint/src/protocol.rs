@@ -1117,21 +1117,18 @@ mod tests {
         // the raw enumeration — same pass/fail, same violated invariant —
         // and a reduced counterexample replays through the unreduced
         // transition table to the same violation.
-        let variants: [(&str, Box<dyn Fn(&mut ProtocolConfig)>); 5] = [
-            ("default", Box::new(|_| {})),
-            ("buggy", Box::new(|c| c.buggy_reload = true)),
-            ("faults", Box::new(|c| c.faults = true)),
-            (
-                "unsafe",
-                Box::new(|c| {
-                    c.faults = true;
-                    c.unsafe_recovery = true;
-                }),
-            ),
-            (
-                "oversized-exec",
-                Box::new(|c| c.exec_bytes = ExecState::MAX_BYTES + 1),
-            ),
+        type Tweak = fn(&mut ProtocolConfig);
+        let variants: [(&str, Tweak); 5] = [
+            ("default", |_| {}),
+            ("buggy", |c| c.buggy_reload = true),
+            ("faults", |c| c.faults = true),
+            ("unsafe", |c| {
+                c.faults = true;
+                c.unsafe_recovery = true;
+            }),
+            ("oversized-exec", |c| {
+                c.exec_bytes = ExecState::MAX_BYTES + 1
+            }),
         ];
         for domains in 1..=3 {
             for (name, tweak) in &variants {

@@ -209,12 +209,10 @@ pub fn tokenize(src: &str) -> Lexed {
 /// True when the cursor sits on `r"`, `r#`, `b"`, `b'`, `br"` or `br#`.
 fn starts_raw_or_byte_string(cur: &Cursor<'_>) -> bool {
     let rest = &cur.src[cur.pos..];
-    match rest {
-        [b'r', b'"', ..] | [b'r', b'#', ..] => true,
-        [b'b', b'"', ..] | [b'b', b'\'', ..] => true,
-        [b'b', b'r', b'"', ..] | [b'b', b'r', b'#', ..] => true,
-        _ => false,
-    }
+    matches!(
+        rest,
+        [b'r', b'"' | b'#', ..] | [b'b', b'"' | b'\'', ..] | [b'b', b'r', b'"' | b'#', ..]
+    )
 }
 
 fn lex_string(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {

@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn closure_may_borrow_the_callers_stack() {
-        let base = vec![5u64, 6, 7];
+        let base = [5u64, 6, 7];
         let out = run_indexed(3, 2, |i| base[i] * 2);
         assert_eq!(out, vec![10, 12, 14]);
     }

@@ -303,7 +303,7 @@ mod tests {
         let parent = SimRng::from_seed(77);
         let small = parent.split(3);
         let big = parent.split(11);
-        for (mut a, mut b) in small.into_iter().zip(big.into_iter()) {
+        for (mut a, mut b) in small.into_iter().zip(big) {
             assert_eq!(a.next_u64(), b.next_u64());
         }
     }

@@ -90,7 +90,7 @@ fn execute(cfg: DiskConfig, script: &[(f64, Act)]) -> Outcome {
                 next += 1;
                 match act {
                     Act::Submit(bytes) => {
-                        let kind = if submitted.len() % 2 == 0 {
+                        let kind = if submitted.len().is_multiple_of(2) {
                             IoKind::Read
                         } else {
                             IoKind::Write
@@ -200,14 +200,13 @@ fn a_cap_never_speeds_up_and_a_loose_cap_is_a_noop() {
         let uncapped = execute(DiskConfig::ultra320_15krpm(), &script);
         let tight = execute(capped(10.0e6), &script);
         for (i, t) in uncapped.completed_at.iter().enumerate() {
-            match (t, tight.completed_at[i]) {
-                (Some(free), Some(capped_t)) => assert!(
+            // Churn timing may let a cancel catch a slower capped job (or
+            // miss an already-finished one); fates can differ.
+            if let (Some(free), Some(capped_t)) = (t, tight.completed_at[i]) {
+                assert!(
                     capped_t + EPS >= *free,
                     "seed {seed} job {i}: cap finished earlier ({capped_t} < {free})"
-                ),
-                // Churn timing may let a cancel catch a slower capped job
-                // (or miss an already-finished one); fates can differ.
-                _ => {}
+                );
             }
         }
         // A cap at the full single-stream bandwidth can never bind: the

@@ -572,7 +572,7 @@ impl Host {
                     }
                 }
                 FaultAction::HangDom0 { extra_ms } => {
-                    out.dom0_extra = out.dom0_extra + SimDuration::from_millis(extra_ms);
+                    out.dom0_extra += SimDuration::from_millis(extra_ms);
                 }
             }
         }

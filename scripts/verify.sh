@@ -187,6 +187,9 @@ if ! bench corebench --quick --gate BENCH_core.json; then
     bench corebench --iters 15 --gate BENCH_core.json
 fi
 
+echo "==> cargo clippy --workspace --all-targets (offline, warnings are errors)"
+cargo clippy -q --workspace --all-targets --offline -- -D warnings
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
