@@ -1,7 +1,8 @@
 //! Minimal in-tree JSON emission and validation.
 //!
-//! `BENCH_repro.json` and the frontier run records are consumed by
-//! external tooling, so they must be *valid JSON for every input* — point
+//! The `--json` run records (`BENCH_repro.json` from `all`, and those of
+//! `frontier`, `fleetbench` and `cellbench`) are consumed by external
+//! tooling, so they must be *valid JSON for every input* — point
 //! names contain arbitrary panic messages (quotes, backslashes, control
 //! characters) and wall-time arithmetic can produce NaN/infinity, which
 //! JSON has no literal for. The emission helpers here centralize both
@@ -55,9 +56,10 @@ pub struct ReproPoint {
     pub ok: bool,
 }
 
-/// Renders the machine-readable run record shared by the `all` and
-/// `frontier` binaries: flags, per-point wall times, and headline figures.
-/// Always valid JSON, whatever the inputs contain.
+/// Renders the machine-readable run record that
+/// [`Run::finish`](crate::cli::Run::finish) writes for every binary taking
+/// `--json`: flags, per-point wall times, and headline figures. Always
+/// valid JSON, whatever the inputs contain.
 pub fn repro_document(
     flags: &[(&str, String)],
     total_wall_ms: f64,
