@@ -6,7 +6,8 @@
 //!   Output on stdout is byte-identical for every worker count
 //!   (DESIGN.md §10).
 //! * `--max-n N` — cap the swept VM count / memory size (default 11, the
-//!   paper's range). Smaller values make smoke runs fast.
+//!   paper's range; at least 2, the two VM counts §5.6's model fit needs).
+//!   Smaller values make smoke runs fast.
 //! * `--quick` — reduced fig8 corpus (500 files instead of 10 000) and a
 //!   6 h reliability horizon instead of 24 h.
 //! * `--json PATH` — machine-readable run record (per-point wall time +
@@ -18,8 +19,9 @@
 //!   for every `--jobs` count (the traced reboots run through the same
 //!   deterministic executor).
 //!
-//! Exits 2 on a usage error, including a `--max-n` whose guests do not
-//! fit the 12 GiB testbed, and 1 when any point fails.
+//! Exits 2 on a usage error, including a `--max-n` below 2 or one whose
+//! guests do not fit the 12 GiB testbed, and 1 when any point fails or an
+//! output file cannot be written.
 
 use std::process::ExitCode;
 

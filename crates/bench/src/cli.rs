@@ -30,7 +30,8 @@ pub enum Flag {
     /// `--jobs N`: sweep workers (default 1; 0 = all CPUs).
     Jobs,
     /// `--max-n N`: the largest swept VM count and memory size (default
-    /// 11, the paper's range); N 1 GiB guests must fit the 12 GiB testbed.
+    /// 11, the paper's range): at least 2, since §5.6's model fit needs two
+    /// VM counts, and N 1 GiB guests must fit the 12 GiB testbed.
     MaxN,
     /// `--quick`: the experiment's smaller smoke configuration.
     Quick,
@@ -183,17 +184,19 @@ impl Run {
         self.headline.push((name.into(), value));
     }
 
-    /// Writes an output file; a failure is reported on stderr.
-    pub(crate) fn write(&self, path: &str, contents: impl AsRef<[u8]>) {
+    /// Writes an output file; a failure is reported on stderr and fails
+    /// the run.
+    pub(crate) fn write(&mut self, path: &str, contents: impl AsRef<[u8]>) {
         if let Err(e) = std::fs::write(path, contents) {
             eprintln!("{}: failed to write {path}: {e}", self.bin);
+            self.failed += 1;
         }
     }
 
     /// Writes the `--json` run record, if one is asked for, and returns
     /// the exit status: 1 when anything failed, with the count on stderr.
-    pub fn finish(self) -> ExitCode {
-        if let Some(path) = &self.json {
+    pub fn finish(mut self) -> ExitCode {
+        if let Some(path) = self.json.take() {
             let mut config = vec![("jobs", self.jobs.to_string())];
             if self.accepts_max_n {
                 config.push(("max_n", self.max_n.to_string()));
@@ -201,7 +204,7 @@ impl Run {
             config.push(("quick", self.quick.to_string()));
             let total = ms(self.start.elapsed());
             let doc = json::repro_document(&config, total, &self.points, &self.headline);
-            self.write(path, doc);
+            self.write(&path, doc);
         }
         let (bin, failed) = (self.bin, self.failed);
         if failed == 0 {
@@ -212,14 +215,17 @@ impl Run {
     }
 }
 
-/// Parses a `--max-n` value: at least 1, and no more 1 GiB guests than the
+/// Parses a `--max-n` value: at least 2, and no more 1 GiB guests than the
 /// 12 GiB testbed holds.
 fn parse_max_n(value: &str, usage: &str) -> Result<u32, String> {
     let max_n: u32 = value
         .parse()
         .map_err(|_| format!("--max-n: not a number; {usage}"))?;
-    if max_n == 0 {
-        return Err(format!("--max-n must be at least 1; {usage}"));
+    if max_n < 2 {
+        return Err(format!(
+            "--max-n must be at least 2: sec56 fits its model over 1..=N VMs \
+             and needs two VM counts; {usage}"
+        ));
     }
     // The largest shape the sweeps boot: max_n 1 GiB guests (fig4's one
     // max_n GiB guest needs the same). Built one guest at a time, so a
@@ -330,14 +336,21 @@ mod tests {
 
     #[test]
     fn max_n_must_fit_the_testbed() {
-        let err = parse("all", ALL, "--max-n 0").unwrap_err();
-        assert_eq!(err, format!("--max-n must be at least 1; {ALL_USAGE}"));
+        for too_few in ["0", "1"] {
+            let err = parse("all", ALL, &format!("--max-n {too_few}")).unwrap_err();
+            let why = "--max-n must be at least 2: sec56 fits its model over 1..=N VMs \
+                       and needs two VM counts";
+            assert_eq!(err, format!("{why}; {ALL_USAGE}"));
+        }
         for too_many in ["12", "4294967295"] {
             let err = parse("all", ALL, &format!("--max-n {too_many}")).unwrap_err();
             let fit = format!("--max-n {too_many} does not fit the 12 GiB host: ");
             assert!(err.starts_with(&fit), "{err}");
         }
-        assert_eq!(parse("all", ALL, "--max-n 11").unwrap().max_n, 11);
+        for fits in [2, 11] {
+            let run = parse("all", ALL, &format!("--max-n {fits}")).unwrap();
+            assert_eq!(run.max_n, fits);
+        }
     }
 
     #[test]

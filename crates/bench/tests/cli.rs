@@ -47,3 +47,20 @@ fn corebench_rejects_a_nan_tolerance() {
     let out = run(env!("CARGO_BIN_EXE_corebench"), &["--tolerance", "NaN"]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn an_unwritable_json_path_fails_the_run() {
+    let dir = std::env::temp_dir().join(format!("rh-bench-missing-{}", std::process::id()));
+    assert!(!dir.exists(), "{} exists", dir.display());
+    let path = dir.join("x.json");
+    let path = path.to_string_lossy();
+    let out = run(
+        env!("CARGO_BIN_EXE_frontier"),
+        &["--quick", "--json", &path],
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let names_path = format!("frontier: failed to write {path}: ");
+    assert!(stderr.starts_with(&names_path), "{stderr}");
+    assert!(!out.stdout.is_empty(), "the sweep still ran");
+}
