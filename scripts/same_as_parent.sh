@@ -22,10 +22,12 @@
 # --vms 4`, `rhctl policy` and `rhctl plan`; one usage error per flag
 # parser (`--jobs x` for `fig4`, `fig5`, `fig6`, `sec56` and `ablations`,
 # `--bogus` for `faults`, `frontier`, `fleetbench` and `cellbench`, and
-# `rhctl bogus`); and the `rh-lint` model checkers (`protocol`, `fleet`,
-# `postcopy`, `balloon`): passing runs, counterexample runs (exit 1) in
-# text and `--json`, `--no-reduce` and `--jobs 4` runs, and usage errors
-# (exit 2).
+# `rhctl bogus`); `all --max-n 1` (exit 2: §5.6's fit needs two VM
+# counts); `all --max-n 2 --quick` with a `--json` path inside a missing
+# directory (exit 1, stderr names the path); and the `rh-lint` model
+# checkers (`protocol`, `fleet`, `postcopy`, `balloon`): passing runs,
+# counterexample runs (exit 1) in text and `--json`, `--no-reduce` and
+# `--jobs 4` runs, and usage errors (exit 2).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -115,6 +117,8 @@ for bin in faults frontier fleetbench cellbench; do
     same_status "$bin-usage" "$bin" --bogus
 done
 same_status rhctl-usage rhctl bogus
+same_status all-max-n-1 all --max-n 1
+same_status all-unwritable all --max-n 2 --quick --json missing/x.json
 
 # checker NAME ARGS...: one rh-lint checker run, compared with its status.
 n=0
