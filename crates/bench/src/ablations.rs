@@ -50,7 +50,7 @@ fn measure_suspend_order(n: u32, order: SuspendOrder) -> f64 {
 }
 
 /// The suspend-ordering ablation as executor points (one per ordering).
-pub fn suspend_order_points(n: u32) -> Sweep<f64> {
+fn suspend_order_points(n: u32) -> Sweep<f64> {
     let mut sweep = Sweep::new(DEFAULT_SEED);
     sweep.point(format!("ablations/suspend-order/paper/{n}vms"), move |_| {
         measure_suspend_order(n, SuspendOrder::VmmAfterDom0Shutdown)
@@ -91,7 +91,7 @@ pub struct ReservationOrderResult {
 ///
 /// Propagates any [`VmmError`] from domain creation, suspend, or reload —
 /// none is expected on this fixed scenario.
-pub fn reservation_order() -> Result<ReservationOrderResult, VmmError> {
+fn reservation_order() -> Result<ReservationOrderResult, VmmError> {
     let make = || -> Result<_, VmmError> {
         let mut vmm = Vmm::new(2 * FRAMES_PER_GIB);
         let mut contents = FrameContents::new();
@@ -130,7 +130,7 @@ pub fn reservation_order() -> Result<ReservationOrderResult, VmmError> {
 
 /// Result of the driver-domain experiment (paper §7).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DriverDomainResult {
+struct DriverDomainResult {
     /// Per-count mean downtime of ordinary guests during a warm reboot.
     pub ordinary_downtime: Vec<(u32, f64)>,
     /// Per-count mean downtime of the driver domains themselves.
@@ -139,7 +139,7 @@ pub struct DriverDomainResult {
 
 /// Measures one driver-domain point: `(k, ordinary mean, driver mean)`
 /// downtime across a warm reboot with `k` driver domains among `n` guests.
-pub fn measure_driver_domains(n: u32, k: u32) -> (u32, f64, f64) {
+fn measure_driver_domains(n: u32, k: u32) -> (u32, f64, f64) {
     let mut cfg = HostConfig::paper_testbed()
         .with_vms(n - k, ServiceKind::Ssh)
         .with_trace(false);
@@ -175,7 +175,7 @@ pub fn measure_driver_domains(n: u32, k: u32) -> (u32, f64, f64) {
 }
 
 /// The driver-domain experiment as executor points: one per driver count.
-pub fn driver_domain_points(n: u32, max_drivers: u32) -> Sweep<(u32, f64, f64)> {
+fn driver_domain_points(n: u32, max_drivers: u32) -> Sweep<(u32, f64, f64)> {
     let mut sweep = Sweep::new(DEFAULT_SEED);
     for k in 0..=max_drivers {
         sweep.point(format!("ablations/driver-domains/{k}of{n}"), move |_rng| {
@@ -188,7 +188,7 @@ pub fn driver_domain_points(n: u32, max_drivers: u32) -> Sweep<(u32, f64, f64)> 
 /// Warm-reboot downtime with 0..=`max_drivers` driver domains among `n`
 /// guests: driver domains cannot be suspended, so they pay cold-reboot
 /// downtime even on the warm path.
-pub fn driver_domains(run: &mut Run, n: u32, max_drivers: u32) -> DriverDomainResult {
+fn driver_domains(run: &mut Run, n: u32, max_drivers: u32) -> DriverDomainResult {
     let mut ordinary = Vec::new();
     let mut drivers = Vec::new();
     for (k, ord, drv) in run.sweep(driver_domain_points(n, max_drivers)) {
@@ -233,7 +233,7 @@ pub fn render(s: &SuspendOrderResult, r: &ReservationOrderResult) -> String {
 }
 
 /// Renders the driver-domain experiment.
-pub fn render_driver_domains(r: &DriverDomainResult) -> String {
+fn render_driver_domains(r: &DriverDomainResult) -> String {
     let mut out = String::from(
         "## driver domains during a warm reboot (paper \u{a7}7)\n\
          drivers  ordinary-guest downtime  driver-domain downtime\n",

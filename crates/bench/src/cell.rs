@@ -65,7 +65,7 @@ pub struct CellPoint {
 }
 
 /// The strategies swept at each (load, overcommit) point, display order.
-pub const STRATEGIES: [ProvisionStrategy; 3] = ProvisionStrategy::ALL;
+const STRATEGIES: [ProvisionStrategy; 3] = ProvisionStrategy::ALL;
 
 /// The sweep grid. Full: load {0.85, 1.05} × overcommit {1.0, 1.5, 2.0}
 /// × every strategy on the steady 1,200 s horizon. Quick: load 1.05 ×

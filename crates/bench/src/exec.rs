@@ -248,7 +248,7 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
 }
 
 /// Worker count for `--jobs 0`: the parallelism the OS reports, or 1.
-pub fn available_cpus() -> usize {
+fn available_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

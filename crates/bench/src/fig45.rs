@@ -43,7 +43,7 @@ fn span(sim: &HostSim, phase: Phase) -> f64 {
 
 /// Measures all six task times by running one reboot of each strategy on
 /// fresh hosts built by `make`.
-pub fn measure_tasks(make: impl Fn() -> HostSim) -> TaskTimes {
+fn measure_tasks(make: impl Fn() -> HostSim) -> TaskTimes {
     let mut warm = make();
     warm.reboot_and_wait(RebootStrategy::Warm);
     let mut saved = make();
@@ -61,7 +61,7 @@ pub fn measure_tasks(make: impl Fn() -> HostSim) -> TaskTimes {
 }
 
 /// Fig. 4 as executor points: one per memory size.
-pub fn fig4_sweep(sizes: impl Iterator<Item = u64>) -> Sweep<(u64, TaskTimes)> {
+fn fig4_sweep(sizes: impl Iterator<Item = u64>) -> Sweep<(u64, TaskTimes)> {
     let mut sweep = Sweep::new(DEFAULT_SEED);
     for gib in sizes {
         sweep.point(format!("fig4/{gib}gib"), move |_rng| {

@@ -96,7 +96,7 @@ pub fn render(title: &str, rows: &[DowntimeRow]) -> Table {
 /// §5.3's ssh-session outcome for each strategy given measured downtimes
 /// and a client-side timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionFates {
+struct SessionFates {
     /// Fate across a warm reboot.
     pub warm: SessionFate,
     /// Fate across a saved reboot.
@@ -107,7 +107,7 @@ pub struct SessionFates {
 
 /// Computes session fates: warm/saved preserve the server process
 /// (generation unchanged), cold restarts it.
-pub fn session_fates(row: &DowntimeRow, client_timeout_secs: u64) -> SessionFates {
+fn session_fates(row: &DowntimeRow, client_timeout_secs: u64) -> SessionFates {
     let session = TcpSession::open(SimTime::ZERO, 1)
         .with_client_timeout(SimDuration::from_secs(client_timeout_secs));
     SessionFates {

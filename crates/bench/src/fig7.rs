@@ -14,18 +14,18 @@
 use rh_guest::fs::FileSet;
 use rh_guest::services::ServiceKind;
 use rh_net::httperf::{AccessPattern, HttperfClient};
+use rh_obs::PhaseSpan;
 use rh_sim::series::TimeSeries;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::{HostConfig, RebootStrategy};
 use rh_vmm::domain::{DomainId, DomainSpec};
 use rh_vmm::harness::HostSim;
-use rh_vmm::metrics::PhaseSpan;
 
 use crate::cli::Run;
 use crate::exec::{Sweep, DEFAULT_SEED};
 
 /// Web corpus for the 1 GiB VM: 1 200 × 512 KB (fits the page cache).
-pub fn fig7_corpus() -> FileSet {
+fn fig7_corpus() -> FileSet {
     FileSet::new(1_200, 512 * 1024)
 }
 
@@ -55,7 +55,7 @@ pub struct Fig7Trace {
 impl Fig7Trace {
     /// Relative throughput right after restoration vs steady state
     /// (1.0 = no degradation).
-    pub fn after_ratio(&self) -> f64 {
+    fn after_ratio(&self) -> f64 {
         self.just_after / self.steady_before
     }
 }
@@ -127,7 +127,7 @@ pub fn run(strategy: RebootStrategy) -> Result<Fig7Trace, String> {
 }
 
 /// Renders the phase timeline relative to the reboot command.
-pub fn render_phases(trace: &Fig7Trace) -> String {
+fn render_phases(trace: &Fig7Trace) -> String {
     let mut out = format!(
         "## fig7 {} reboot (command at t={})\n",
         trace.strategy, trace.command_at

@@ -50,7 +50,7 @@ pub struct FrontierPoint {
 }
 
 /// The canonical locality used for the strategies that never stream.
-pub const CANONICAL_LOCALITY: f64 = 0.9;
+const CANONICAL_LOCALITY: f64 = 0.9;
 
 /// The sweep grid: every strategy × memory size × disk bandwidth, with the
 /// locality axis swept only under `Streamed` (the only strategy that can

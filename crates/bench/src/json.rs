@@ -5,37 +5,17 @@
 //! tooling, so they must be *valid JSON for every input* — point
 //! names contain arbitrary panic messages (quotes, backslashes, control
 //! characters) and wall-time arithmetic can produce NaN/infinity, which
-//! JSON has no literal for. The emission helpers here centralize both
-//! hardenings (string escaping per RFC 8259 §7, non-finite numbers →
-//! `null`), and [`parse`] is a small validating parser so tests can assert
-//! whole-file validity without any external dependency (README §"Hermetic
-//! build").
+//! JSON has no literal for. The emission here applies both hardenings
+//! (strings through [`rh_obs::json_escape`], per RFC 8259 §7; non-finite
+//! numbers → `null`), and [`parse`] is a small validating parser so tests
+//! can assert whole-file validity without any external dependency (README
+//! §"Hermetic build").
 
-use std::fmt::Write as _;
-
-/// Escapes a string for embedding inside a JSON string literal
-/// (everything RFC 8259 §7 requires: `"` `\` and all control characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use rh_obs::json_escape;
 
 /// Renders a number as a JSON value: finite values verbatim, NaN and
 /// infinities as `null` (JSON has no literal for them).
-pub fn number(v: f64) -> String {
+fn number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -68,7 +48,7 @@ pub fn repro_document(
 ) -> String {
     let flag_lines: Vec<String> = flags
         .iter()
-        .map(|(k, v)| format!("  \"{}\": {}", escape(k), v))
+        .map(|(k, v)| format!("  \"{}\": {}", json_escape(k), v))
         .collect();
     let point_lines: Vec<String> = points
         .iter()
@@ -76,11 +56,11 @@ pub fn repro_document(
             let spans: Vec<String> = p
                 .spans
                 .iter()
-                .map(|(label, ms)| format!("\"{}_ms\":{}", escape(label), number(*ms)))
+                .map(|(label, ms)| format!("\"{}_ms\":{}", json_escape(label), number(*ms)))
                 .collect();
             format!(
                 "    {{\"name\":\"{}\",\"wall_ms\":{},\"spans\":{{{}}},\"ok\":{}}}",
-                escape(&p.name),
+                json_escape(&p.name),
                 number(p.wall_ms),
                 spans.join(","),
                 p.ok
@@ -89,7 +69,7 @@ pub fn repro_document(
         .collect();
     let headline_lines: Vec<String> = headline
         .iter()
-        .map(|(k, v)| format!("    \"{}\": {}", escape(k), number(*v)))
+        .map(|(k, v)| format!("    \"{}\": {}", json_escape(k), number(*v)))
         .collect();
     format!(
         "{{\n{},\n  \"total_wall_ms\": {},\n  \"points\": [\n{}\n  ],\n  \
@@ -314,14 +294,6 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_quotes_backslashes_and_control_chars() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("line\nfeed\ttab\rcr"), "line\\nfeed\\ttab\\rcr");
-        assert_eq!(escape("bell\u{7}"), "bell\\u0007");
-    }
 
     #[test]
     fn non_finite_numbers_become_null() {

@@ -251,7 +251,7 @@ fn downtime_in_window(sim: &HostSim, start: SimTime, end: SimTime) -> f64 {
 /// incident), exercising the validation fallback on the micro-reboot
 /// path. All randomness — gaps, victims, corruption masks — comes from
 /// `rng`, so the point replays identically for a given stream.
-pub fn run_fault_point(
+fn run_fault_point(
     vms: u32,
     rate_per_hour: f64,
     policy: RecoveryPolicy,

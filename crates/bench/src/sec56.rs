@@ -51,7 +51,7 @@ pub struct PhasePoint {
 }
 
 /// Measures the §5.6 phase components at one VM count.
-pub fn measure_point(n: u32) -> PhasePoint {
+fn measure_point(n: u32) -> PhasePoint {
     let mut warm = booted_n_vms(n, ServiceKind::Ssh);
     warm.reboot_and_wait(RebootStrategy::Warm);
     let wspan = |phase: Phase| {
@@ -104,7 +104,7 @@ pub fn sweep_points(counts: impl Iterator<Item = u32>) -> Sweep<PhasePoint> {
 ///
 /// Returns a [`FitError`] when a component has fewer than two distinct
 /// points — e.g. an empty or single-point sweep.
-pub fn fit_points(points: &[PhasePoint]) -> Result<ModelFitResult, FitError> {
+fn fit_points(points: &[PhasePoint]) -> Result<ModelFitResult, FitError> {
     let mut m = ComponentMeasurements::default();
     for p in points {
         m.push(p.n, p.reboot_vmm, p.resume, p.reboot_os, p.boot, p.reset);

@@ -11,7 +11,8 @@
 //! (DESIGN.md §14):
 //!
 //! * **I6 capacity-floor** — at least `hosts - max_down` hosts serve in
-//!   every reachable interleaving (the [`ScheduleConstraints`] floor,
+//!   every reachable interleaving (the
+//!   [`ScheduleConstraints`](crate::schedule::ScheduleConstraints) floor,
 //!   DESIGN.md §14 "The fleet model"), and
 //! * **I7 single-recovery** — no host starts a second reboot while its
 //!   crash recovery is still in flight (DESIGN.md §14 "The fleet
@@ -24,8 +25,6 @@
 //! a crash-then-recovery window looks "done" and the driver both restarts
 //! the recovering host (I7) and lets the next host proceed under it (I6).
 //! `rh-lint fleet --driver buggy-overlap` must find both, shortest first.
-
-use crate::schedule::ScheduleConstraints;
 
 /// A host's lifecycle phase as the campaign driver sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,13 +45,13 @@ pub struct FleetView<'a> {
     /// Whether each host's rejuvenation has completed successfully.
     pub completed: &'a [bool],
     /// Maximum hosts that may be out of serving at once
-    /// ([`ScheduleConstraints::max_down`]).
+    /// ([`ScheduleConstraints::max_down`](crate::schedule::ScheduleConstraints::max_down)).
     pub max_down: u32,
 }
 
 impl<'a> FleetView<'a> {
     /// Builds a view; `max_down` comes from the campaign's
-    /// [`ScheduleConstraints`].
+    /// [`ScheduleConstraints`](crate::schedule::ScheduleConstraints).
     pub fn new(phases: &'a [HostPhase], completed: &'a [bool], max_down: u32) -> Self {
         FleetView {
             phases,
@@ -149,17 +148,10 @@ impl CampaignDriver for OverlapBugDriver {
     }
 }
 
-/// Convenience: the `max_down` a [`FleetView`] should carry for a campaign
-/// planned under `constraints` (the same bound [`crate::schedule::verify`]
-/// enforces on planned outage windows).
-pub fn view_max_down(constraints: &ScheduleConstraints) -> u32 {
-    constraints.max_down
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::plan_uniform;
+    use crate::schedule::{plan_uniform, ScheduleConstraints};
     use rh_sim::time::SimDuration;
 
     /// Drives a crash-free campaign to completion with `driver`, returning
@@ -266,6 +258,5 @@ mod tests {
         assert_eq!(view.serving(), 2);
         assert_eq!(view.down(), 2);
         assert_eq!(view.capacity_floor(), 3);
-        assert_eq!(view_max_down(&ScheduleConstraints::one_at_a_time()), 1);
     }
 }

@@ -39,7 +39,7 @@ pub struct LoadBalancer {
 impl LoadBalancer {
     /// Builds the cluster total-throughput series from per-host outage
     /// windows over `[0, horizon]`.
-    pub fn throughput_series(
+    fn throughput_series(
         &self,
         hosts: u32,
         outages: &[HostOutage],
@@ -63,7 +63,7 @@ impl LoadBalancer {
 
     /// True if at least one host is up at every instant (zero service
     /// downtime, §6's availability claim).
-    pub fn service_always_up(&self, hosts: u32, outages: &[HostOutage]) -> bool {
+    fn service_always_up(&self, hosts: u32, outages: &[HostOutage]) -> bool {
         // Check at every outage boundary: the worst concurrency occurs at
         // interval starts.
         for o in outages {

@@ -117,7 +117,8 @@ impl Injector {
     }
 
     /// Total matching consultations across all arms.
-    pub fn consults(&self) -> u64 {
+    #[cfg(test)]
+    fn consults(&self) -> u64 {
         self.arms.iter().map(|a| a.matches).sum()
     }
 }

@@ -61,7 +61,7 @@ impl CampaignConfig {
 }
 
 /// The default campaign concurrency bound: 2 % of the fleet, at least 1.
-pub fn default_max_down(hosts: u32) -> u32 {
+fn default_max_down(hosts: u32) -> u32 {
     (hosts / 50).max(1)
 }
 

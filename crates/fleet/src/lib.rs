@@ -17,8 +17,8 @@
 //!   oversubscribe a host, and the [`store::FreeSlots`] index placement
 //!   searches instead of scanning every host;
 //! * [`placement`] — pluggable algorithms: [`placement::FirstFit`],
-//!   [`placement::BestFitBinPack`], and the rejuvenation-aware
-//!   [`placement::RejuvAntiAffinity`];
+//!   best-fit bin packing and rejuvenation-aware anti-affinity, chosen by
+//!   [`placement::PlacementKind`];
 //! * [`workload`] — synthetic Poisson + diurnal arrivals behind the
 //!   replayable [`workload::WorkloadReader`] trait;
 //! * [`campaign::WaveDriver`] — the wave-parallel

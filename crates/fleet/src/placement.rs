@@ -20,10 +20,10 @@
 //! * [`FirstFit`] — lowest-index serving host with a free slot. Packs the
 //!   fleet prefix dense, which is exactly what makes rolling campaigns
 //!   hurt: the early waves take down *full* hosts.
-//! * [`BestFitBinPack`] — classic bin packing (fullest host that still
+//! * `BestFitBinPack` — classic bin packing (fullest host that still
 //!   fits). Minimizes fragmentation, maximizes the campaign's pain for
 //!   the same reason.
-//! * [`RejuvAntiAffinity`] — rejuvenation-aware spreading: least-loaded
+//! * `RejuvAntiAffinity` — rejuvenation-aware spreading: least-loaded
 //!   host, avoiding hosts the campaign is about to take down, and keeping
 //!   replica pairs far enough apart in campaign order that no wave ever
 //!   holds both halves of a pair.
@@ -155,7 +155,7 @@ impl PlacementAlgorithm for FirstFit {
 
 /// Fullest serving host that still fits (ties to the lowest index).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BestFitBinPack;
+struct BestFitBinPack;
 
 impl PlacementAlgorithm for BestFitBinPack {
     fn name(&self) -> &'static str {
@@ -194,7 +194,7 @@ impl PlacementAlgorithm for BestFitBinPack {
 /// order. Falls back to ignoring the window (but never the pair rule)
 /// when the window would otherwise reject every host.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RejuvAntiAffinity;
+struct RejuvAntiAffinity;
 
 impl RejuvAntiAffinity {
     fn scan(&self, q: &PlacementQuery<'_>, respect_window: bool) -> Option<u32> {
@@ -295,9 +295,9 @@ impl PlacementAlgorithm for RejuvAntiAffinity {
 pub enum PlacementKind {
     /// [`FirstFit`].
     FirstFit,
-    /// [`BestFitBinPack`].
+    /// Best-fit bin packing (`BestFitBinPack`).
     BestFit,
-    /// [`RejuvAntiAffinity`].
+    /// Rejuvenation-aware spreading (`RejuvAntiAffinity`).
     AntiAffinity,
 }
 

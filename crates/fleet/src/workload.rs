@@ -130,11 +130,6 @@ impl TraceWorkload {
         &self.records
     }
 
-    /// Rewinds the trace to the beginning.
-    pub fn rewind(&mut self) {
-        self.next = 0;
-    }
-
     /// Renders the trace in the plain-text format: one
     /// `<at_us> <lifetime_us> <0|1>` line per arrival.
     pub fn render(&self) -> String {
@@ -343,12 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_reader_drains_then_rewinds() {
+    fn trace_reader_yields_records_in_order_then_drains() {
         let mut t = TraceWorkload::parse("1 1 0\n2 1 1\n").unwrap();
-        assert!(t.next_arrival().is_some());
-        assert!(t.next_arrival().is_some());
-        assert!(t.next_arrival().is_none());
-        t.rewind();
         assert_eq!(
             t.next_arrival(),
             Some(VmArrival {
@@ -357,5 +348,7 @@ mod tests {
                 paired: false
             })
         );
+        assert!(t.next_arrival().is_some());
+        assert!(t.next_arrival().is_none());
     }
 }

@@ -46,12 +46,13 @@ impl fmt::Display for GuestHealth {
 ///
 /// let mut aging = GuestAging::typical_2007_linux();
 /// assert_eq!(aging.health(), GuestHealth::Healthy);
-/// // A week of uptime plus a few million requests leaves visible wear.
+/// // A week of uptime plus a few million requests leaves wear.
 /// aging.advance(SimDuration::from_secs(7 * 24 * 3600));
 /// aging.on_requests(3_000_000);
-/// assert!(aging.kernel_mem_pressure() > 0.0);
+/// assert_ne!(aging, GuestAging::typical_2007_linux());
 /// aging.rejuvenate(); // the weekly OS reboot
-/// assert_eq!(aging.kernel_mem_pressure(), 0.0);
+/// assert_eq!(aging.rejuvenations(), 1);
+/// assert_eq!(aging.health(), GuestHealth::Healthy);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuestAging {
@@ -122,12 +123,12 @@ impl GuestAging {
     }
 
     /// Kernel-memory pressure in `[0, 1]`.
-    pub fn kernel_mem_pressure(&self) -> f64 {
+    fn kernel_mem_pressure(&self) -> f64 {
         self.kernel_mem_used / self.kernel_mem_capacity
     }
 
     /// Swap pressure in `[0, 1]`.
-    pub fn swap_pressure(&self) -> f64 {
+    fn swap_pressure(&self) -> f64 {
         self.swap_used / self.swap_capacity
     }
 
@@ -155,24 +156,6 @@ impl GuestAging {
         } else {
             1.0 + 2.0 * (worst - DEGRADE_THRESHOLD) / (1.0 - DEGRADE_THRESHOLD)
         }
-    }
-
-    /// Projected uptime until exhaustion at the configured uptime rates
-    /// (ignoring request-driven wear), or `None` if not leaking.
-    pub fn uptime_to_exhaustion(&self) -> Option<SimDuration> {
-        let mut candidates = Vec::new();
-        if self.leak_per_sec > 0.0 {
-            candidates.push((self.kernel_mem_capacity - self.kernel_mem_used) / self.leak_per_sec);
-        }
-        if self.swap_per_sec > 0.0 {
-            candidates.push((self.swap_capacity - self.swap_used) / self.swap_per_sec);
-        }
-        candidates
-            .into_iter()
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.min(v)))
-            })
-            .map(SimDuration::from_secs_f64)
     }
 
     /// An OS reboot: all aged state is reclaimed.
@@ -246,20 +229,6 @@ mod tests {
             assert!(s >= last);
             last = s;
         }
-    }
-
-    #[test]
-    fn exhaustion_projection_matches_linear_rates() {
-        let mut a = GuestAging::new(1000.0, 1_000_000.0);
-        a.leak_per_sec = 10.0;
-        let eta = a.uptime_to_exhaustion().unwrap();
-        assert!((eta.as_secs_f64() - 100.0).abs() < 1e-9);
-        a.advance(SimDuration::from_secs(50));
-        let eta = a.uptime_to_exhaustion().unwrap();
-        assert!((eta.as_secs_f64() - 50.0).abs() < 1e-9);
-        // No leak configured => no projection.
-        let b = GuestAging::new(1000.0, 1000.0);
-        assert_eq!(b.uptime_to_exhaustion(), None);
     }
 
     #[test]

@@ -48,18 +48,14 @@ impl WorkProfile {
         }
     }
 
-    /// An all-zero profile (instantaneous).
-    pub fn zero() -> Self {
-        WorkProfile::fixed_only(SimDuration::ZERO)
-    }
-
     /// Total disk traffic.
     pub fn disk_bytes(&self) -> f64 {
         self.disk_read_bytes + self.disk_write_bytes
     }
 
     /// True if the profile demands shared resources.
-    pub fn has_shared_work(&self) -> bool {
+    #[cfg(test)]
+    fn has_shared_work(&self) -> bool {
         self.disk_bytes() > 0.0 || self.cpu_work > 0.0
     }
 }
@@ -161,9 +157,6 @@ mod tests {
 
     #[test]
     fn profile_helpers() {
-        let z = WorkProfile::zero();
-        assert_eq!(z.fixed, SimDuration::ZERO);
-        assert!(!z.has_shared_work());
         let p = WorkProfile {
             fixed: SimDuration::from_secs(1),
             disk_read_bytes: 10.0,

@@ -69,7 +69,8 @@ impl ReadPlan {
     }
 
     /// True if the read is fully cached.
-    pub fn is_all_hit(&self) -> bool {
+    #[cfg(test)]
+    fn is_all_hit(&self) -> bool {
         self.miss_bytes == 0
     }
 }
@@ -91,7 +92,7 @@ impl FileSystem {
     }
 
     /// Number of chunks per file.
-    pub fn chunks_per_file(&self) -> u32 {
+    fn chunks_per_file(&self) -> u32 {
         self.set.file_bytes.div_ceil(self.chunk_bytes) as u32
     }
 

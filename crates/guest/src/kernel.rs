@@ -130,7 +130,8 @@ impl GuestKernel {
 
     /// True while paravirtual devices are attached (between boot/resume and
     /// shutdown/suspend).
-    pub fn devices_attached(&self) -> bool {
+    #[cfg(test)]
+    fn devices_attached(&self) -> bool {
         self.devices_attached
     }
 

@@ -36,7 +36,7 @@ pub struct ChunkKey {
 }
 
 /// Default chunk granularity: 256 KiB.
-pub const DEFAULT_CHUNK_BYTES: u64 = 256 * 1024;
+const DEFAULT_CHUNK_BYTES: u64 = 256 * 1024;
 
 /// End-of-list marker for [`Node`] links.
 const NIL: usize = usize::MAX;
@@ -209,16 +209,6 @@ impl PageCache {
         self.tail = NIL;
     }
 
-    /// Fraction of accesses that hit, or `None` before any access.
-    pub fn hit_ratio(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / total as f64)
-        }
-    }
-
     /// The slot of a cached `key`, or `None` when it is not cached.
     fn slot(&self, key: ChunkKey) -> Option<usize> {
         let row = self.index.get(key.file as usize)?;
@@ -307,7 +297,6 @@ mod tests {
         assert!(c.access(key(0, 0)));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_ratio(), Some(0.5));
     }
 
     #[test]
@@ -377,11 +366,5 @@ mod tests {
             (lru_order(&c), c.hits(), c.misses(), c.evictions())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn hit_ratio_none_before_access() {
-        let c = PageCache::new(1024);
-        assert_eq!(c.hit_ratio(), None);
     }
 }

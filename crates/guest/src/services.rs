@@ -78,7 +78,7 @@ impl ServiceSpec {
     }
 
     /// Apache: 1 s start, 0.5 s stop.
-    pub fn apache_web() -> Self {
+    fn apache_web() -> Self {
         ServiceSpec {
             kind: ServiceKind::ApacheWeb,
             start: WorkProfile::fixed_only(SimDuration::from_secs(1)),
@@ -87,7 +87,7 @@ impl ServiceSpec {
     }
 
     /// The spec for a kind.
-    pub fn for_kind(kind: ServiceKind) -> Self {
+    fn for_kind(kind: ServiceKind) -> Self {
         match kind {
             ServiceKind::Ssh => ServiceSpec::ssh(),
             ServiceKind::Jboss => ServiceSpec::jboss(),

@@ -58,16 +58,6 @@ impl TcpSession {
         self
     }
 
-    /// When the session was opened.
-    pub fn opened_at(&self) -> SimTime {
-        self.opened_at
-    }
-
-    /// The configured client timeout, if any.
-    pub fn client_timeout(&self) -> Option<SimDuration> {
-        self.client_timeout
-    }
-
     /// Decides the session's fate after an `outage` of the given length,
     /// given the server process generation observed afterwards.
     ///
@@ -132,10 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn accessors() {
-        let s = TcpSession::open(SimTime::from_secs(5), 3).with_client_timeout(secs(60));
-        assert_eq!(s.opened_at(), SimTime::from_secs(5));
-        assert_eq!(s.client_timeout(), Some(secs(60)));
+    fn fate_display() {
         assert_eq!(SessionFate::Reset.to_string(), "reset");
     }
 }

@@ -22,7 +22,7 @@ use std::path::Path;
 pub type Counts = BTreeMap<(String, String), u64>;
 
 /// The baseline file name at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.txt";
+const BASELINE_FILE: &str = "lint-baseline.txt";
 
 /// Parses a baseline file's contents.
 ///

@@ -1,10 +1,13 @@
 //! Diagnostic records and rendering (aligned table + JSON).
 //!
 //! Output is an aligned human-readable table whose column widths adapt to
-//! the data, and a hand-rolled JSON array with the standard control/quote
-//! escapes — the hermetic build (README §"Hermetic build") has no serde.
+//! the data, and a hand-rolled JSON array whose strings go through
+//! [`rh_obs::json_escape`] — the hermetic build (README §"Hermetic build")
+//! has no serde.
 
 use std::fmt;
+
+use rh_obs::json_escape;
 
 /// One lint finding, anchored to a `file:line` location.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,23 +101,6 @@ impl Report {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a model-checker violation as a JSON object for the CLI's
 /// `--json` mode: the failed invariant, the detail line, and the typed
 /// counterexample trace in event order. Shared by the `protocol` and
@@ -192,7 +178,6 @@ mod tests {
 
     #[test]
     fn json_escapes_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let r = Report {
             diagnostics: vec![Diagnostic {
                 file: "f.rs".into(),

@@ -98,16 +98,15 @@ impl LintOutcome {
 ///
 /// Returns a message on I/O or baseline-parse failure.
 pub fn lint_workspace(root: &Path) -> Result<LintOutcome, String> {
-    let files = walk::discover(root)?;
+    let files = lex(&walk::discover(root)?)?;
     let mut report = Report::default();
-    for file in &files {
-        let src = fs::read_to_string(&file.abs_path)
-            .map_err(|e| format!("read {}: {e}", file.abs_path.display()))?;
-        let lexed = tokenizer::tokenize(&src);
+    for (rel_path, lexed) in &files {
         report
             .diagnostics
-            .extend(rules::check_file(&file.rel_path, &lexed));
+            .extend(rules::check_file(rel_path, lexed));
     }
+    let users = lex(&walk::discover_users(root)?)?;
+    report.diagnostics.extend(rules::dead_pub(&files, &users));
     report.sort();
     let base = baseline::load(root)?;
     let current = rules::count_by_rule_file(&report.diagnostics);
@@ -117,6 +116,18 @@ pub fn lint_workspace(root: &Path) -> Result<LintOutcome, String> {
         comparison,
         files_scanned: files.len(),
     })
+}
+
+/// Reads and lexes each file, keyed by its repo-relative path.
+fn lex(files: &[walk::SourceFile]) -> Result<Vec<(String, tokenizer::Lexed)>, String> {
+    files
+        .iter()
+        .map(|file| {
+            let src = fs::read_to_string(&file.abs_path)
+                .map_err(|e| format!("read {}: {e}", file.abs_path.display()))?;
+            Ok((file.rel_path.clone(), tokenizer::tokenize(&src)))
+        })
+        .collect()
 }
 
 /// Rewrites the baseline to the current finding counts.

@@ -14,6 +14,11 @@
 //! |                   | reports and digests); use `BTreeMap`/`BTreeSet`               |
 //! | `allow-attr`      | no `#[allow(...)]` without an adjacent                        |
 //! |                   | `// lint:allow(allow-attr): reason` justification             |
+//! | `dead-pub`        | no bare-`pub` item of library code that no other file's code  |
+//! |                   | names; examples, tests and perfbench count as users           |
+//!
+//! `dead-pub` alone looks across files: [`dead_pub`] runs once over the
+//! whole workspace, after [`check_file`] has run on each file.
 //!
 //! # Allowlist syntax
 //!
@@ -30,13 +35,13 @@
 //! anywhere in a file suppresses the rule for the whole file. Broader
 //! burn-down debt lives in `lint-baseline.txt` (see [`crate::baseline`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diagnostics::Diagnostic;
 use crate::tokenizer::{Lexed, Token, TokenKind};
 
 /// Names of all rules, in reporting order.
-pub const RULE_NAMES: [&str; 8] = [
+const RULE_NAMES: [&str; 9] = [
     "wall-clock",
     "unwrap-panic",
     "todo-dbg",
@@ -44,6 +49,7 @@ pub const RULE_NAMES: [&str; 8] = [
     "truncating-cast",
     "hashmap-iter",
     "allow-attr",
+    "dead-pub",
     "lint-directive",
 ];
 
@@ -92,9 +98,7 @@ pub fn check_file(rel_path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     let allows = parse_allows(rel_path, lexed, &mut out);
     let toks = &lexed.tokens;
     let test_regions = test_regions(toks);
-    let in_tests_dir = rel_path.contains("/tests/")
-        || rel_path.contains("/benches/")
-        || rel_path.contains("/examples/");
+    let in_tests_dir = is_test_path(rel_path);
 
     let push = |out: &mut Vec<Diagnostic>, rule: &'static str, line: u32, message: String| {
         if !allows.permits(rule, line) {
@@ -263,6 +267,159 @@ pub fn check_file(rel_path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     out
 }
 
+/// The item keywords after a bare `pub` that `dead-pub` checks (`const fn`
+/// counts as `fn`). `mod` and `use` are left out: a module or a re-export
+/// is a path, not an item with a body to delete.
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// A bare-`pub` item of a linted file, as `dead-pub` sees it.
+struct PubItem<'a> {
+    /// Index of the defining file in the linted slice.
+    file: usize,
+    keyword: &'a str,
+    name: &'a str,
+    line: u32,
+    /// The identifiers the item's signature names: a function's generics,
+    /// parameter types and return type, a struct's fields, an enum's
+    /// variants, a trait's body, an alias's target, a constant's type.
+    signature: Vec<&'a str>,
+}
+
+/// `dead-pub`: flags each bare-`pub` item of library code whose name no
+/// other file's code uses.
+///
+/// `linted` are the files the per-file rules check; `users` are files
+/// that only count as users (examples, integration tests, perfbench).
+/// A use is an identifier token in another file, so a mention in a
+/// comment or a string is not one. A type also counts as used when a used
+/// `pub` item of its own file names it in its signature, since rustc
+/// keeps such a type public.
+pub fn dead_pub(linted: &[(String, Lexed)], users: &[(String, Lexed)]) -> Vec<Diagnostic> {
+    let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (file, (_, lexed)) in linted.iter().chain(users).enumerate() {
+        for t in &lexed.tokens {
+            if t.kind == TokenKind::Ident {
+                named_in.entry(t.text.as_str()).or_default().insert(file);
+            }
+        }
+    }
+
+    let mut items = Vec::new();
+    for (file, (rel_path, lexed)) in linted.iter().enumerate() {
+        if is_test_path(rel_path) {
+            continue;
+        }
+        let toks = &lexed.tokens;
+        let tests = test_regions(toks);
+        for i in 0..toks.len() {
+            if toks[i].kind != TokenKind::Ident || toks[i].text != "pub" || in_regions(&tests, i) {
+                continue;
+            }
+            let k = if matches_seq(toks, i + 1, &["const", "fn"]) {
+                i + 2
+            } else {
+                i + 1
+            };
+            let (Some(keyword), Some(name)) = (toks.get(k), toks.get(k + 1)) else {
+                continue;
+            };
+            if ITEM_KEYWORDS.contains(&keyword.text.as_str()) && name.kind == TokenKind::Ident {
+                items.push(PubItem {
+                    file,
+                    keyword: &keyword.text,
+                    name: &name.text,
+                    line: toks[i].line,
+                    signature: signature(toks, k + 2, &keyword.text),
+                });
+            }
+        }
+    }
+
+    let mut used: Vec<bool> = items
+        .iter()
+        .map(|item| {
+            named_in
+                .get(item.name)
+                .is_some_and(|files| files.iter().any(|&f| f != item.file))
+        })
+        .collect();
+    let mut by_name: BTreeMap<(usize, &str), Vec<usize>> = BTreeMap::new();
+    for (k, item) in items.iter().enumerate() {
+        by_name.entry((item.file, item.name)).or_default().push(k);
+    }
+    let mut work: Vec<usize> = (0..items.len()).filter(|&k| used[k]).collect();
+    while let Some(k) = work.pop() {
+        for name in &items[k].signature {
+            for &j in by_name.get(&(items[k].file, *name)).into_iter().flatten() {
+                if !used[j] {
+                    used[j] = true;
+                    work.push(j);
+                }
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    let mut allows: BTreeMap<usize, Allows> = BTreeMap::new();
+    for (item, _) in items.iter().zip(&used).filter(|(_, &used)| !used) {
+        let (rel_path, lexed) = &linted[item.file];
+        // Malformed directives are reported by `check_file` already.
+        let allows = allows
+            .entry(item.file)
+            .or_insert_with(|| parse_allows(rel_path, lexed, &mut Vec::new()));
+        if !allows.permits("dead-pub", item.line) {
+            out.push(Diagnostic {
+                file: rel_path.clone(),
+                line: item.line,
+                rule: "dead-pub",
+                message: format!(
+                    "`pub {} {}` is named in no other file; make it private or \
+                     pub(crate), or delete it if only its tests use it",
+                    item.keyword, item.name
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// The identifiers of the signature that starts at `toks[start]`, just
+/// after an item's name: up to a function's body, to the end of a
+/// struct, enum or trait, and to a constant's `=` or an alias's `;`.
+/// Parameter, field and generic names (an identifier before a single
+/// `:`) are left out; only the types they name count.
+fn signature<'a>(toks: &'a [Token], start: usize, keyword: &str) -> Vec<&'a str> {
+    let mut depth = 0usize;
+    let mut out = Vec::new();
+    for (j, t) in toks.iter().enumerate().skip(start) {
+        match t.text.as_str() {
+            "{" if keyword == "fn" => break,
+            "{" => depth += 1,
+            "}" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    break;
+                }
+            }
+            ";" if depth == 0 => break,
+            "=" if depth == 0 && matches!(keyword, "const" | "static") => break,
+            _ if t.kind == TokenKind::Ident && toks.get(j + 1).is_none_or(|n| n.text != ":") => {
+                out.push(t.text.as_str())
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// True for files under a `tests/`, `benches/` or `examples/` directory,
+/// which the library-code rules skip.
+fn is_test_path(rel_path: &str) -> bool {
+    rel_path.contains("/tests/")
+        || rel_path.contains("/benches/")
+        || rel_path.contains("/examples/")
+}
+
 /// Scans back from the `as` at `toks[as_idx]` for an identifier that marks
 /// the cast source as a frame number. Stops at statement-ish boundaries.
 fn frame_hint_before(toks: &[Token], as_idx: usize) -> Option<String> {
@@ -291,8 +448,8 @@ fn matches_seq(toks: &[Token], start: usize, texts: &[&str]) -> bool {
         .all(|(j, want)| toks.get(start + j).is_some_and(|t| t.text == *want))
 }
 
-/// Finds `#[cfg(test)] … { … }` regions as token-index ranges so
-/// `unwrap-panic` skips test modules embedded in library files.
+/// Finds `#[cfg(test)] … { … }` regions as token-index ranges so the
+/// library-code rules skip test modules embedded in library files.
 fn test_regions(toks: &[Token]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0;
@@ -600,5 +757,98 @@ mod tests {
             )),
             Some(&1)
         );
+    }
+
+    /// Runs `dead-pub` over in-memory files: `linted` are checked, `users`
+    /// only count as users. Returns each finding as `file:line`.
+    fn dead(linted: &[(&str, &str)], users: &[(&str, &str)]) -> Vec<String> {
+        let lex = |files: &[(&str, &str)]| -> Vec<(String, Lexed)> {
+            files
+                .iter()
+                .map(|(path, src)| (path.to_string(), tokenize(src)))
+                .collect()
+        };
+        dead_pub(&lex(linted), &lex(users))
+            .iter()
+            .map(|d| format!("{}:{}", d.file, d.line))
+            .collect()
+    }
+
+    const LIB: &str = "crates/a/src/lib.rs";
+
+    #[test]
+    fn dead_pub_flags_unused_items_and_methods() {
+        let src = "pub fn f() {}\npub const C: u8 = 1;\npub struct S;\n\
+                   pub const fn cf() {}\nimpl S {\n    pub fn m(&self) {}\n}\n";
+        let d = dead_pub(&[(LIB.to_string(), tokenize(src))], &[]);
+        let messages: Vec<&str> = d.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(d.len(), 5, "{messages:?}");
+        assert!(d.iter().all(|d| d.rule == "dead-pub"));
+        for item in ["fn f", "const C", "struct S", "fn cf", "fn m"] {
+            let named = format!("`pub {item}` is named in no other file");
+            assert!(messages.iter().any(|m| m.starts_with(&named)), "{item}");
+        }
+    }
+
+    #[test]
+    fn dead_pub_ignores_comments_strings_and_the_own_file() {
+        let lib = "pub fn f() {}\nfn g() { f(); }";
+        let other = "// f is documented here\nconst S: &str = \"f\";";
+        let got = dead(&[(LIB, lib), ("crates/b/src/lib.rs", other)], &[]);
+        assert_eq!(got, [format!("{LIB}:1")]);
+    }
+
+    #[test]
+    fn dead_pub_skips_restricted_visibility_and_test_code() {
+        let lib = "pub(crate) fn a() {}\npub(super) fn b() {}\npub(in crate::x) fn c() {}\n\
+                   pub mod m {}\npub use m::*;\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn d() {}\n}";
+        let test_file = ("crates/a/tests/t.rs", "pub fn helper() {}");
+        let example = ("crates/a/examples/e.rs", "pub fn shown() {}");
+        assert!(dead(&[(LIB, lib), test_file, example], &[]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_counts_code_in_every_other_file_as_a_use() {
+        let lib = "pub fn a() {}\npub fn b() {}\npub fn c() {}\npub fn d() {}";
+        let linted = [(LIB, lib), ("crates/b/src/lib.rs", "fn x() { d(); }")];
+        let users = [
+            ("tests/t.rs", "fn t() { a(); }"),
+            ("examples/e.rs", "fn main() { b(); }"),
+            ("perfbench/src/main.rs", "use rh_a::c;"),
+        ];
+        assert!(dead(&linted, &users).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_keeps_types_that_used_signatures_name() {
+        let lib = "pub struct Arg;\npub struct Ret;\npub struct Field;\npub struct Inner;\n\
+                   pub struct Payload;\npub struct Unused;\npub fn arg() {}\n\
+                   pub fn used(arg: Arg) -> Vec<Ret> { Vec::new() }\n\
+                   pub struct Holder { pub field: Field }\n\
+                   pub struct FieldWrap(Inner);\n\
+                   pub enum Message { Carry(Payload) }";
+        let users = [(
+            "tests/t.rs",
+            "used(x); let h: Holder; let m: Message; FieldWrap;",
+        )];
+        // `Inner` is reached through the used `FieldWrap`; `arg` is only a
+        // parameter name, which names no item.
+        assert_eq!(
+            dead(&[(LIB, lib)], &users),
+            [format!("{LIB}:6"), format!("{LIB}:7")]
+        );
+    }
+
+    #[test]
+    fn dead_pub_honours_allow_directives() {
+        let src = "// lint:allow(dead-pub): perfbench reaches it through a macro\npub fn f() {}";
+        assert!(dead(&[(LIB, src)], &[]).is_empty());
+        // Without a reason the directive is malformed and allows nothing.
+        let src = "// lint:allow(dead-pub)\npub fn f() {}";
+        assert_eq!(dead(&[(LIB, src)], &[]), [format!("{LIB}:2")]);
+        let d = run(LIB, src);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].rule, "lint-directive");
     }
 }

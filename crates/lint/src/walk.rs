@@ -1,9 +1,11 @@
 //! Source-file discovery.
 //!
-//! Walks `crates/**/*.rs` and `src/**/*.rs` under the workspace root,
-//! skipping `target/`. Paths come back repo-relative with `/` separators
-//! and sorted, so diagnostics and the baseline file are byte-stable across
-//! machines.
+//! Walks `crates/**/*.rs` and `src/**/*.rs` under the workspace root (the
+//! linted files), or `examples/`, `tests/` and `perfbench/` (files that
+//! only count as users of the linted files' `pub` items), skipping
+//! `target/` and dot-directories. Paths come back repo-relative with `/`
+//! separators and sorted, so diagnostics and the baseline file are
+//! byte-stable across machines.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -17,27 +19,30 @@ pub struct SourceFile {
     pub abs_path: PathBuf,
 }
 
-impl SourceFile {
-    /// The crate this file belongs to: `crates/foo/...` → `foo`, anything
-    /// under the root `src/` → the root package.
-    pub fn crate_name(&self) -> &str {
-        let mut parts = self.rel_path.split('/');
-        match (parts.next(), parts.next()) {
-            (Some("crates"), Some(name)) => name,
-            _ => "roothammer",
-        }
-    }
-}
-
 /// Finds every `.rs` file under `<root>/crates` and `<root>/src`.
 ///
 /// # Errors
 ///
 /// Returns an error string if a directory cannot be read (other than the
-/// two top-level roots simply not existing, which yields an empty slice).
+/// top-level roots simply not existing, which yields an empty slice).
 pub fn discover(root: &Path) -> Result<Vec<SourceFile>, String> {
+    discover_under(root, &["crates", "src"])
+}
+
+/// Finds every `.rs` file under `<root>/examples`, `<root>/tests` and
+/// `<root>/perfbench`: code that uses the workspace's `pub` items but is
+/// never linted itself.
+///
+/// # Errors
+///
+/// As [`discover`].
+pub fn discover_users(root: &Path) -> Result<Vec<SourceFile>, String> {
+    discover_under(root, &["examples", "tests", "perfbench"])
+}
+
+fn discover_under(root: &Path, tops: &[&str]) -> Result<Vec<SourceFile>, String> {
     let mut out = Vec::new();
-    for top in ["crates", "src"] {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             walk_dir(root, &dir, &mut out)?;
@@ -111,19 +116,5 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(files, sorted);
-    }
-
-    #[test]
-    fn crate_name_extraction() {
-        let f = SourceFile {
-            rel_path: "crates/memory/src/p2m.rs".into(),
-            abs_path: PathBuf::new(),
-        };
-        assert_eq!(f.crate_name(), "memory");
-        let r = SourceFile {
-            rel_path: "src/lib.rs".into(),
-            abs_path: PathBuf::new(),
-        };
-        assert_eq!(r.crate_name(), "roothammer");
     }
 }

@@ -93,7 +93,7 @@ impl Balloon {
     ///
     /// [`BalloonError::TooLarge`] if the domain has fewer mapped pages;
     /// propagates allocator/P2M failures.
-    pub fn inflate(
+    fn inflate(
         &mut self,
         p2m: &mut P2mTable,
         ram: &mut MachineMemory,
@@ -118,7 +118,7 @@ impl Balloon {
     /// # Errors
     ///
     /// Propagates allocator/P2M failures (e.g. machine memory exhausted).
-    pub fn deflate(
+    fn deflate(
         &mut self,
         p2m: &mut P2mTable,
         ram: &mut MachineMemory,

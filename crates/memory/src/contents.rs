@@ -26,7 +26,7 @@ const ABSENT: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 /// How many dirty ranges [`FrameContents`] remembers for
 /// [`unchanged_since`](FrameContents::unchanged_since). Mutation bursts
 /// longer than this window force a conservative "changed" answer.
-pub const DIRTY_WINDOW: usize = 64;
+const DIRTY_WINDOW: usize = 64;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PatternExt {
@@ -93,8 +93,8 @@ impl FrameContents {
     /// Sound but conservative: a `true` answer is a guarantee (every
     /// mutation since `epoch` is on record and none intersected `ranges`);
     /// a `false` answer means "changed, or too many mutations ago to
-    /// know" — the dirty log only spans the last [`DIRTY_WINDOW`]
-    /// mutations, and once it has wrapped, an epoch at the evicted edge
+    /// know" — the dirty log only spans the last 64 mutations
+    /// (`DIRTY_WINDOW`), and once it has wrapped, an epoch at the evicted edge
     /// (exactly the oldest retained entry) also answers `false`. The
     /// incremental save strategy uses it to count only the extents a
     /// guest dirtied since its last snapshot
@@ -249,11 +249,6 @@ impl FrameContents {
         self.mark_dirty(None);
     }
 
-    /// Number of explicitly written frames.
-    pub fn written_frames(&self) -> usize {
-        self.explicit.len()
-    }
-
     /// The pattern runs intersecting `range`, clipped to it, as
     /// `(sub-range, salt, logical base of the sub-range)` triples in
     /// ascending order. Used to capture a domain's memory image without a
@@ -285,7 +280,8 @@ impl FrameContents {
     }
 
     /// Number of pattern extents.
-    pub fn pattern_extents(&self) -> usize {
+    #[cfg(test)]
+    fn pattern_extents(&self) -> usize {
         self.patterns.len()
     }
 
@@ -425,7 +421,6 @@ mod tests {
         mem.write(Mfn(10), 77);
         assert_eq!(mem.read(Mfn(10)), Some(77));
         assert_eq!(mem.read(Mfn(11)), None);
-        assert_eq!(mem.written_frames(), 1);
     }
 
     #[test]

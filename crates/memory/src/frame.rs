@@ -28,7 +28,7 @@ pub const fn frames_for_bytes(bytes: u64) -> u64 {
 }
 
 /// Converts a frame count to bytes.
-pub const fn bytes_for_frames(frames: u64) -> u64 {
+const fn bytes_for_frames(frames: u64) -> u64 {
     frames * PAGE_SIZE
 }
 

@@ -12,7 +12,7 @@
 use std::fmt;
 
 /// Default hypervisor heap size: 16 MB, as in Xen 3.0 (paper §2).
-pub const DEFAULT_HEAP_BYTES: u64 = 16 * 1024 * 1024;
+const DEFAULT_HEAP_BYTES: u64 = 16 * 1024 * 1024;
 
 /// Error returned when the heap cannot satisfy a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +71,6 @@ pub struct VmmHeap {
     capacity: u64,
     used: u64,
     leaked: u64,
-    peak_used: u64,
-    total_allocs: u64,
-    total_leak_events: u64,
 }
 
 impl VmmHeap {
@@ -88,9 +85,6 @@ impl VmmHeap {
             capacity,
             used: 0,
             leaked: 0,
-            peak_used: 0,
-            total_allocs: 0,
-            total_leak_events: 0,
         }
     }
 
@@ -124,21 +118,6 @@ impl VmmHeap {
         (self.used + self.leaked) as f64 / self.capacity as f64
     }
 
-    /// High-water mark of `used + leaked`.
-    pub fn peak_used_bytes(&self) -> u64 {
-        self.peak_used
-    }
-
-    /// Number of successful allocations since the last reset.
-    pub fn total_allocs(&self) -> u64 {
-        self.total_allocs
-    }
-
-    /// Number of leak events since the last reset.
-    pub fn total_leak_events(&self) -> u64 {
-        self.total_leak_events
-    }
-
     /// Allocates `bytes`.
     ///
     /// # Errors
@@ -153,8 +132,6 @@ impl VmmHeap {
             });
         }
         self.used += bytes;
-        self.total_allocs += 1;
-        self.peak_used = self.peak_used.max(self.used + self.leaked);
         Ok(HeapAlloc { bytes })
     }
 
@@ -164,35 +141,19 @@ impl VmmHeap {
         self.used -= alloc.bytes;
     }
 
-    /// Converts an allocation into a leak: the bytes stay unavailable until
-    /// [`reset`](Self::reset). Models forgetting to free on an error path.
-    pub fn leak_alloc(&mut self, alloc: HeapAlloc) {
-        debug_assert!(alloc.bytes <= self.used);
-        self.used -= alloc.bytes;
-        self.leaked += alloc.bytes;
-        self.total_leak_events += 1;
-    }
-
     /// Directly loses `bytes` of free memory to a leak (clamped to the free
     /// amount). Returns the bytes actually leaked.
     pub fn leak(&mut self, bytes: u64) -> u64 {
         let actual = bytes.min(self.free_bytes());
         self.leaked += actual;
-        if actual > 0 {
-            self.total_leak_events += 1;
-        }
-        self.peak_used = self.peak_used.max(self.used + self.leaked);
         actual
     }
 
     /// Rejuvenation: the VMM reboot re-initializes the heap, clearing all
-    /// allocations, leaks and counters.
+    /// allocations and leaks.
     pub fn reset(&mut self) {
         self.used = 0;
         self.leaked = 0;
-        self.peak_used = 0;
-        self.total_allocs = 0;
-        self.total_leak_events = 0;
     }
 }
 
@@ -221,7 +182,6 @@ mod tests {
         assert_eq!(h.free_bytes(), 40);
         h.free(a);
         assert_eq!(h.used_bytes(), 0);
-        assert_eq!(h.total_allocs(), 1);
     }
 
     #[test]
@@ -245,7 +205,6 @@ mod tests {
         assert_eq!(h.leak(15), 15);
         assert_eq!(h.leaked_bytes(), 25);
         assert_eq!(h.free_bytes(), 75);
-        assert_eq!(h.total_leak_events(), 2);
         // Leaked bytes cannot be allocated.
         assert!(h.alloc(80).is_err());
         assert!(h.alloc(75).is_ok());
@@ -261,15 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn leak_alloc_moves_used_to_leaked() {
-        let mut h = VmmHeap::new(100);
-        let a = h.alloc(40).unwrap();
-        h.leak_alloc(a);
-        assert_eq!(h.used_bytes(), 0);
-        assert_eq!(h.leaked_bytes(), 40);
-    }
-
-    #[test]
     fn reset_restores_everything() {
         let mut h = VmmHeap::new(100);
         let _a = h.alloc(50).unwrap();
@@ -277,17 +227,6 @@ mod tests {
         h.reset();
         assert_eq!(h.free_bytes(), 100);
         assert_eq!(h.leaked_bytes(), 0);
-        assert_eq!(h.peak_used_bytes(), 0);
-        assert_eq!(h.total_allocs(), 0);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut h = VmmHeap::new(100);
-        let a = h.alloc(70).unwrap();
-        h.free(a);
-        let _b = h.alloc(10).unwrap();
-        assert_eq!(h.peak_used_bytes(), 70);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl MemoryLayout {
         self.purpose_bytes(|p| matches!(p, RegionPurpose::ExecState { .. }))
     }
 
-    /// Bytes of the VMM image region.
-    pub fn vmm_bytes(&self) -> u64 {
-        self.purpose_bytes(|p| matches!(p, RegionPurpose::VmmImage))
-    }
-
     fn purpose_bytes(&self, f: impl Fn(&RegionPurpose) -> bool) -> u64 {
         self.regions
             .iter()
@@ -195,7 +190,6 @@ mod tests {
         let layout = MemoryLayout::plan(64 << 20, &domains, 16 * 1024);
         assert_eq!(layout.p2m_bytes(), 22 * 1024 * 1024);
         assert_eq!(layout.exec_state_bytes(), 11 * 16 * 1024);
-        assert_eq!(layout.vmm_bytes(), 64 << 20);
         layout.check(12 * FRAMES_PER_GIB).unwrap();
         // 1 (vmm) + 2 per domain.
         assert_eq!(layout.regions().len(), 23);

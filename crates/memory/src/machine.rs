@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::frame::{total_frames, FrameRange, Mfn};
+use crate::frame::{FrameRange, Mfn};
 
 /// Error returned when an allocation or reservation cannot be satisfied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,12 +116,13 @@ impl MachineMemory {
     }
 
     /// Number of free extents (fragmentation indicator).
-    pub fn free_extents(&self) -> usize {
+    #[cfg(test)]
+    fn free_extents(&self) -> usize {
         self.free.len()
     }
 
     /// True if every frame in `range` is currently free.
-    pub fn is_free(&self, range: &FrameRange) -> bool {
+    fn is_free(&self, range: &FrameRange) -> bool {
         let mut covered = range.start.0;
         let end = range.end().0;
         // Find the extent containing `covered`, repeatedly.
@@ -333,15 +334,10 @@ impl MachineMemory {
     }
 }
 
-/// Sums the frames covered by an allocation result.
-pub fn allocation_frames(ranges: &[FrameRange]) -> u64 {
-    total_frames(ranges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FRAMES_PER_GIB;
+    use crate::frame::{total_frames, FRAMES_PER_GIB};
 
     #[test]
     fn fresh_memory_is_all_free() {
@@ -357,7 +353,7 @@ mod tests {
     fn allocate_and_release_round_trip() {
         let mut ram = MachineMemory::new(1000);
         let a = ram.allocate(300).unwrap();
-        assert_eq!(allocation_frames(&a), 300);
+        assert_eq!(total_frames(&a), 300);
         assert_eq!(ram.allocated_frames(), 300);
         ram.release(&a).unwrap();
         assert_eq!(ram.allocated_frames(), 0);
@@ -518,6 +514,6 @@ mod tests {
         let mut ram = MachineMemory::new(12 * FRAMES_PER_GIB);
         let a = ram.allocate(11 * FRAMES_PER_GIB).unwrap();
         assert_eq!(a.len(), 1);
-        assert_eq!(allocation_frames(&a), 11 * FRAMES_PER_GIB);
+        assert_eq!(total_frames(&a), 11 * FRAMES_PER_GIB);
     }
 }

@@ -68,7 +68,7 @@ struct Extent {
 pub struct P2mTable {
     extents: BTreeMap<u64, Extent>,
     total: u64,
-    /// Monotonic mutation counter (bumped by `map`/`unmap`/`clear`/
+    /// Monotonic mutation counter (bumped by `map`/`unmap_top`/`clear`/
     /// `corrupt_extent`); bookkeeping only, excluded from equality.
     epoch: u64,
 }
@@ -91,8 +91,8 @@ impl P2mTable {
     }
 
     /// The mutation epoch: increments on every call that changes the
-    /// mapping ([`map`](Self::map), [`unmap`](Self::unmap),
-    /// [`unmap_top`](Self::unmap_top), [`clear`](Self::clear),
+    /// mapping ([`map`](Self::map), [`unmap_top`](Self::unmap_top),
+    /// [`clear`](Self::clear),
     /// [`corrupt_extent`](Self::corrupt_extent)). An unchanged epoch
     /// guarantees an unchanged PFN→MFN function — what tells an
     /// incremental snapshot chain it still describes this mapping (see
@@ -117,7 +117,8 @@ impl P2mTable {
     }
 
     /// Number of stored extents.
-    pub fn extent_count(&self) -> usize {
+    #[cfg(test)]
+    fn extent_count(&self) -> usize {
         self.extents.len()
     }
 
@@ -193,67 +194,6 @@ impl P2mTable {
         } else {
             None
         }
-    }
-
-    /// Unmaps `[pfn_start, pfn_start + count)`, returning the released
-    /// machine ranges (in ascending PFN order). Splits extents as needed.
-    ///
-    /// # Errors
-    ///
-    /// [`P2mError::NotMapped`] if the range is not fully mapped; the table
-    /// is unchanged on error.
-    pub fn unmap(&mut self, pfn_start: Pfn, count: u64) -> Result<Vec<FrameRange>, P2mError> {
-        let lo = pfn_start.0;
-        let hi = lo + count;
-        // Verify full coverage first (atomicity).
-        let mut covered = lo;
-        while covered < hi {
-            match self.extents.range(..=covered).next_back() {
-                Some((&s, e)) if covered < s + e.count => covered = s + e.count,
-                _ => return Err(P2mError::NotMapped(pfn_start, count)),
-            }
-        }
-        // Remove, splitting boundary extents.
-        let keys: Vec<u64> = self
-            .extents
-            .range(..hi)
-            .filter(|(&s, e)| s + e.count > lo)
-            .map(|(&s, _)| s)
-            .collect();
-        let mut released = Vec::new();
-        for s in keys {
-            let Some(ext) = self.extents.remove(&s) else {
-                continue; // unreachable: keys were collected from this map above
-            };
-            let e_end = s + ext.count;
-            let cut_lo = lo.max(s);
-            let cut_hi = hi.min(e_end);
-            if s < cut_lo {
-                self.extents.insert(
-                    s,
-                    Extent {
-                        mfn_start: ext.mfn_start,
-                        count: cut_lo - s,
-                    },
-                );
-            }
-            if cut_hi < e_end {
-                self.extents.insert(
-                    cut_hi,
-                    Extent {
-                        mfn_start: ext.mfn_start + (cut_hi - s),
-                        count: e_end - cut_hi,
-                    },
-                );
-            }
-            released.push(FrameRange::new(
-                Mfn(ext.mfn_start + (cut_lo - s)),
-                cut_hi - cut_lo,
-            ));
-            self.total -= cut_hi - cut_lo;
-        }
-        self.epoch += 1;
-        Ok(released)
     }
 
     /// Unmaps the `count` highest-numbered pages (the balloon driver's
@@ -446,38 +386,6 @@ mod tests {
         assert_eq!(t.lookup(Pfn(100)), Some(Mfn(500)));
         assert_eq!(t.lookup(Pfn(149)), Some(Mfn(549)));
         assert_eq!(t.total_pages(), 150);
-    }
-
-    #[test]
-    fn unmap_whole_extent() {
-        let mut t = P2mTable::new();
-        t.map(Pfn(0), fr(1000, 10)).unwrap();
-        let released = t.unmap(Pfn(0), 10).unwrap();
-        assert_eq!(released, vec![fr(1000, 10)]);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn unmap_splits_extent() {
-        let mut t = P2mTable::new();
-        t.map(Pfn(0), fr(1000, 100)).unwrap();
-        let released = t.unmap(Pfn(40), 20).unwrap();
-        assert_eq!(released, vec![fr(1040, 20)]);
-        assert_eq!(t.lookup(Pfn(39)), Some(Mfn(1039)));
-        assert_eq!(t.lookup(Pfn(40)), None);
-        assert_eq!(t.lookup(Pfn(59)), None);
-        assert_eq!(t.lookup(Pfn(60)), Some(Mfn(1060)));
-        assert_eq!(t.total_pages(), 80);
-        assert_eq!(t.extent_count(), 2);
-    }
-
-    #[test]
-    fn unmap_unmapped_range_fails_atomically() {
-        let mut t = P2mTable::new();
-        t.map(Pfn(0), fr(0, 10)).unwrap();
-        let err = t.unmap(Pfn(5), 10).unwrap_err();
-        assert!(matches!(err, P2mError::NotMapped(_, _)));
-        assert_eq!(t.total_pages(), 10, "table unchanged on error");
     }
 
     #[test]

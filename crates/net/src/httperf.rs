@@ -50,7 +50,6 @@ pub struct HttperfClient {
     next_file: u64,
     in_flight: usize,
     issued: u64,
-    aborted: u64,
     log: CompletionLog,
 }
 
@@ -70,19 +69,8 @@ impl HttperfClient {
             next_file: 0,
             in_flight: 0,
             issued: 0,
-            aborted: 0,
             log: CompletionLog::new(),
         }
-    }
-
-    /// The paper's Fig. 8(b) fleet: 10 processes, 10 000 files, each once.
-    pub fn figure8b() -> Self {
-        HttperfClient::new(10, 10_000, AccessPattern::EachOnce)
-    }
-
-    /// Configured worker count.
-    pub fn concurrency(&self) -> usize {
-        self.concurrency
     }
 
     /// Requests currently outstanding.
@@ -101,7 +89,7 @@ impl HttperfClient {
     }
 
     /// True if an `EachOnce` run has issued every file.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         matches!(self.pattern, AccessPattern::EachOnce) && self.next_file >= self.files as u64
     }
 
@@ -146,12 +134,6 @@ impl HttperfClient {
     pub fn abort(&mut self) {
         assert!(self.in_flight > 0, "abort without an outstanding request");
         self.in_flight -= 1;
-        self.aborted += 1;
-    }
-
-    /// Requests aborted by outages.
-    pub fn aborted(&self) -> u64 {
-        self.aborted
     }
 
     /// The completion log (for custom analyses).
@@ -235,20 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn figure8b_configuration() {
-        let g = HttperfClient::figure8b();
-        assert_eq!(g.concurrency(), 10);
-        assert!(!g.exhausted());
-    }
-
-    #[test]
     fn abort_frees_worker_without_logging() {
         let mut g = HttperfClient::new(1, 10, AccessPattern::Cyclic);
         g.next_request(t(0.0)).unwrap();
         g.abort();
         assert_eq!(g.in_flight(), 0);
         assert_eq!(g.completed(), 0);
-        assert_eq!(g.aborted(), 1);
         assert!(g.next_request(t(1.0)).is_some(), "worker is free again");
     }
 

@@ -36,7 +36,7 @@ pub mod span;
 pub mod timeline;
 
 pub use event::{DomId, Event, RecoveryKind, StrategyKind};
-pub use log::{render_numbered, EventLog, EventRecord};
+pub use log::{json_escape, render_numbered, EventLog, EventRecord};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use phase::Phase;
 /// Re-exported so latency consumers (cell, fleet) need only rh-obs.

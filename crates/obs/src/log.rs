@@ -1,9 +1,9 @@
 //! The typed event log.
 //!
 //! [`EventLog`] is an append-only, time-ordered record of [`Event`]s with
-//! text queries (`find`, `contains`, `in_category`), typed queries (filter
-//! by domain or time window), a one-line-per-event text rendering and a
-//! line-oriented JSON export for offline analysis.
+//! text queries (`find`, `contains`), a time-window query, a
+//! one-line-per-event text rendering and a line-oriented JSON export for
+//! offline analysis.
 //!
 //! Determinism: the log never consults a clock or an RNG — entries carry
 //! the simulated instant the caller passes in — so two runs that execute
@@ -14,7 +14,7 @@ use std::fmt;
 
 use rh_sim::time::SimTime;
 
-use crate::event::{DomId, Event};
+use crate::event::Event;
 
 /// One recorded event with its simulated timestamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,7 @@ impl fmt::Display for EventRecord {
 /// let mut log = EventLog::new();
 /// log.emit(SimTime::from_secs(1), Event::Suspending(DomId(1)));
 /// log.emit(SimTime::from_secs(2), Event::Frozen(DomId(1)));
-/// assert_eq!(log.for_domain(DomId(1)).count(), 2);
+/// assert_eq!(log.len(), 2);
 /// assert!(log.contains("frozen on memory"));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -82,11 +82,6 @@ impl EventLog {
         }
     }
 
-    /// True if events are being retained.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a typed event (no-op when disabled).
     pub fn emit(&mut self, at: SimTime, event: Event) {
         if !self.enabled {
@@ -108,20 +103,6 @@ impl EventLog {
     /// True if no records are retained.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Records whose category equals `category`.
-    pub fn in_category<'a>(&'a self, category: &'a str) -> impl Iterator<Item = &'a EventRecord> {
-        self.records
-            .iter()
-            .filter(move |r| r.event.category() == category)
-    }
-
-    /// Records concerning the given domain.
-    pub fn for_domain(&self, dom: DomId) -> impl Iterator<Item = &EventRecord> {
-        self.records
-            .iter()
-            .filter(move |r| r.event.domain() == Some(dom))
     }
 
     /// Records with `from <= at < to`.
@@ -201,8 +182,9 @@ pub fn render_numbered(events: &[Event]) -> String {
     out
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal: everything
+/// RFC 8259 §7 requires (`"`, `\` and every control character).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -221,7 +203,7 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::StrategyKind;
+    use crate::event::{DomId, StrategyKind};
     use crate::phase::Phase;
 
     fn t(s: u64) -> SimTime {
@@ -236,8 +218,6 @@ mod tests {
         log.emit(t(3), Event::Suspending(DomId(2)));
         log.emit(t(4), Event::Frozen(DomId(1)));
         assert_eq!(log.len(), 4);
-        assert_eq!(log.in_category("guest").count(), 2);
-        assert_eq!(log.for_domain(DomId(1)).count(), 2);
         assert_eq!(log.in_window(t(2), t(4)).count(), 2);
         assert_eq!(log.find("frozen").map(|r| r.at), Some(t(4)));
         assert!(log.contains("warm reboot commanded"));
@@ -266,7 +246,6 @@ mod tests {
         let mut log = EventLog::disabled();
         log.emit(t(0), Event::PowerOn);
         assert!(log.is_empty());
-        assert!(!log.is_enabled());
     }
 
     #[test]
@@ -275,7 +254,8 @@ mod tests {
         log.emit(t(0), Event::PowerOn);
         log.clear();
         assert!(log.is_empty());
-        assert!(log.is_enabled());
+        log.emit(t(1), Event::PowerOn);
+        assert_eq!(log.len(), 1, "a cleared log still records");
     }
 
     #[test]
@@ -299,8 +279,10 @@ mod tests {
 
     #[test]
     fn json_escape_handles_specials() {
+        assert_eq!(json_escape("plain"), "plain");
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("feed\ttab\rcr"), "feed\\ttab\\rcr");
+        assert_eq!(json_escape("\u{1}bell\u{7}"), "\\u0001bell\\u0007");
     }
 
     #[test]

@@ -81,7 +81,8 @@ impl Metrics {
     }
 
     /// The current value of a gauge, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
+    #[cfg(test)]
+    fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.get(name).copied()
     }
 
@@ -105,11 +106,6 @@ impl Metrics {
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// All timers in name order.

@@ -117,20 +117,6 @@ impl Timeline {
             .and_then(|s| s.duration())
     }
 
-    /// Start time of the most recent span of this phase.
-    pub fn start_of(&self, phase: Phase) -> Option<SimTime> {
-        self.spans
-            .iter()
-            .rev()
-            .find(|s| s.phase == phase)
-            .map(|s| s.start)
-    }
-
-    /// True if any span is still open.
-    pub fn has_open_spans(&self) -> bool {
-        self.spans.iter().any(|s| s.end.is_none())
-    }
-
     /// Discards all spans.
     pub fn clear(&mut self) {
         self.spans.clear();
@@ -183,8 +169,6 @@ mod tests {
             m.duration_of(Phase::Suspend),
             Some(SimDuration::from_secs(4))
         );
-        assert_eq!(m.start_of(Phase::Suspend), Some(t(10)));
-        assert!(!m.has_open_spans());
     }
 
     #[test]

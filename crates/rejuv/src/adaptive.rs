@@ -15,7 +15,6 @@
 
 use rh_sim::time::SimDuration;
 use rh_vmm::config::RebootStrategy;
-use rh_vmm::domain::DomainId;
 use rh_vmm::harness::HostSim;
 
 use crate::aging::AgingDetector;
@@ -29,18 +28,6 @@ pub struct AdaptivePolicy {
     pub lead: SimDuration,
     /// Sliding-window size of the trend estimator.
     pub window: usize,
-}
-
-impl AdaptivePolicy {
-    /// A sensible default: sample hourly, keep 24 samples, act a day
-    /// ahead of projected exhaustion.
-    pub fn hourly() -> Self {
-        AdaptivePolicy {
-            sample_interval: SimDuration::from_secs(3600),
-            lead: SimDuration::from_secs(24 * 3600),
-            window: 24,
-        }
-    }
 }
 
 /// What an adaptive run did and observed.
@@ -156,11 +143,6 @@ pub fn run_adaptive(
     }
 }
 
-/// Convenience handle for the rotation order used by [`run_adaptive`].
-pub fn churn_victim(guests: &[DomainId], round: usize) -> DomainId {
-    guests[round % guests.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,12 +226,5 @@ mod tests {
             a.total_downtime,
             c.total_downtime
         );
-    }
-
-    #[test]
-    fn churn_rotation_is_round_robin() {
-        let g = [DomainId(1), DomainId(2), DomainId(3)];
-        assert_eq!(churn_victim(&g, 0), DomainId(1));
-        assert_eq!(churn_victim(&g, 4), DomainId(2));
     }
 }

@@ -78,7 +78,8 @@ impl AgingDetector {
 
     /// The fitted depletion rate in units/second (negative = leaking), or
     /// `None` with fewer than two samples.
-    pub fn trend(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn trend(&self) -> Option<f64> {
         let xs: Vec<f64> = self.samples.iter().map(|(t, _)| t.as_secs_f64()).collect();
         let ys: Vec<f64> = self.samples.iter().map(|(_, v)| *v).collect();
         linear_fit(&xs, &ys).map(|f| f.slope)

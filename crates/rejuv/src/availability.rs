@@ -25,7 +25,7 @@ pub struct AvailabilityModel {
 }
 
 /// One week in seconds.
-pub const WEEK_SECS: f64 = 7.0 * 24.0 * 3600.0;
+const WEEK_SECS: f64 = 7.0 * 24.0 * 3600.0;
 
 impl AvailabilityModel {
     /// The §5.3 scenario: weekly OS rejuvenation (33.6 s), four-weekly VMM
@@ -45,7 +45,7 @@ impl AvailabilityModel {
     /// Per cycle there are `vmm_interval / os_interval` scheduled OS
     /// rejuvenations; a forcing (cold/saved) VMM rejuvenation replaces `α`
     /// of one of them.
-    pub fn downtime_per_cycle(&self, vmm_downtime_secs: f64, forces_os_rejuv: bool) -> f64 {
+    fn downtime_per_cycle(&self, vmm_downtime_secs: f64, forces_os_rejuv: bool) -> f64 {
         let os_count = self.vmm_interval_secs / self.os_interval_secs;
         let effective_os = if forces_os_rejuv {
             os_count - self.alpha

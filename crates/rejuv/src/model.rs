@@ -170,7 +170,7 @@ impl DiskedReboot {
     }
 
     /// The save phase: `n` concurrent full-image writes.
-    pub fn save_secs(&self, n: u32) -> f64 {
+    fn save_secs(&self, n: u32) -> f64 {
         self.transfer_secs(self.image_bytes * n as f64, n)
     }
 
@@ -221,11 +221,6 @@ impl DiskedReboot {
             + self.streamed_restore_mean_secs(n, working_set)
     }
 
-    /// Mean downtime saved by streaming over the full saved restore.
-    pub fn streamed_saving(&self, n: u32, working_set: f64) -> f64 {
-        self.saved_downtime(n) - self.streamed_downtime(n, working_set)
-    }
-
     /// Mean incremental-reboot downtime: the save writes only the dirty
     /// fraction of each image (the restore still reads everything).
     ///
@@ -239,17 +234,6 @@ impl DiskedReboot {
         );
         self.saved_downtime(n) - (1.0 - dirty_fraction) * self.save_secs(n)
     }
-}
-
-/// Total bytes written to disk over an incremental chain's lifecycle:
-/// the full base snapshot, every background delta, and the final
-/// at-reboot dirty save.
-pub fn incremental_write_volume(
-    base_bytes: u64,
-    delta_bytes: &[u64],
-    final_dirty_bytes: u64,
-) -> u64 {
-    base_bytes + delta_bytes.iter().sum::<u64>() + final_dirty_bytes
 }
 
 #[cfg(test)]
@@ -323,7 +307,7 @@ mod tests {
         for n in [1u32, 4, 11] {
             let mut prev = f64::INFINITY;
             for ws in [0.05, 0.15, 0.5, 1.0] {
-                let saving = m.streamed_saving(n, ws);
+                let saving = m.saved_downtime(n) - m.streamed_downtime(n, ws);
                 assert!(saving >= 0.0, "n={n} ws={ws}: saving {saving:.1}");
                 assert!(saving <= prev, "saving must shrink as ws grows");
                 prev = saving;
@@ -343,12 +327,6 @@ mod tests {
             let clean = m.incremental_downtime(n, 0.0);
             assert!((m.saved_downtime(n) - clean - m.save_secs(n)).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn incremental_write_volume_sums_the_chain() {
-        assert_eq!(incremental_write_volume(100, &[], 0), 100);
-        assert_eq!(incremental_write_volume(100, &[10, 5, 7], 3), 125);
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl Retick {
 
     /// Abandons the queued wake-up, if any, without scheduling a new one.
     /// Its entry stays queued, stale, until the simulation drops it.
-    pub fn disarm(&mut self) {
+    fn disarm(&mut self) {
         if self.armed.take().is_some() {
             self.gen += 1;
         }

@@ -9,7 +9,7 @@
 //!   requests", which is exactly
 //!   [`CompletionLog::throughput_per_window`] with a 50-request window.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A sequence of `(time, value)` samples, ordered by insertion.
 ///
@@ -85,15 +85,6 @@ impl TimeSeries {
             Err(0) => None,
             Err(i) => Some(self.samples[i - 1].1),
         }
-    }
-
-    /// Minimum value over samples with `lo <= t <= hi`.
-    pub fn min_over(&self, lo: SimTime, hi: SimTime) -> Option<f64> {
-        self.samples
-            .iter()
-            .filter(|(t, _)| *t >= lo && *t <= hi)
-            .map(|(_, v)| *v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
     }
 
     /// Mean value over samples with `lo <= t <= hi`.
@@ -201,16 +192,6 @@ impl CompletionLog {
         self.chunks[i / CHUNK][i % CHUNK]
     }
 
-    /// Every completion, in recording order.
-    fn stamps(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.chunks.iter().flatten().copied()
-    }
-
-    /// Completions with `lo <= t < hi`.
-    pub fn count_between(&self, lo: SimTime, hi: SimTime) -> usize {
-        self.stamps().filter(|t| *t >= lo && *t < hi).count()
-    }
-
     /// Average throughput over each consecutive window of `window` requests:
     /// one `(t_end, window / (t_end - t_start))` sample per full window.
     ///
@@ -237,41 +218,6 @@ impl CompletionLog {
             i += window;
         }
         series
-    }
-
-    /// Throughput sampled on fixed wall-clock buckets of length `bucket`.
-    pub fn throughput_per_bucket(&self, bucket: SimDuration, until: SimTime) -> TimeSeries {
-        assert!(!bucket.is_zero(), "bucket must be positive");
-        let mut series = TimeSeries::new("throughput_bucketed");
-        let mut lo = SimTime::ZERO;
-        while lo < until {
-            let hi = lo.saturating_add(bucket);
-            let n = self.count_between(lo, hi);
-            series.push(hi, n as f64 / bucket.as_secs_f64());
-            lo = hi;
-        }
-        series
-    }
-
-    /// The longest gap between consecutive completions within `[lo, hi]`,
-    /// including the gap from `lo` to the first completion and from the last
-    /// completion to `hi`. This is the service-outage length seen by an
-    /// open-loop client.
-    pub fn longest_gap(&self, lo: SimTime, hi: SimTime) -> SimDuration {
-        let mut prev = lo;
-        let mut best = SimDuration::ZERO;
-        for t in self.stamps().filter(|t| *t >= lo && *t <= hi) {
-            let gap = t - prev;
-            if gap > best {
-                best = gap;
-            }
-            prev = t;
-        }
-        let tail = hi.saturating_duration_since(prev);
-        if tail > best {
-            best = tail;
-        }
-        best
     }
 }
 
@@ -306,14 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn min_and_mean_over_window() {
+    fn mean_over_window() {
         let mut s = TimeSeries::new("x");
         for i in 0..10 {
             s.push(t(i as f64), (10 - i) as f64);
         }
-        assert_eq!(s.min_over(t(2.0), t(4.0)), Some(6.0));
         assert_eq!(s.mean_over(t(2.0), t(4.0)), Some(7.0));
-        assert_eq!(s.min_over(t(100.0), t(200.0)), None);
     }
 
     #[test]
@@ -353,45 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn completion_log_bucketed_throughput() {
-        let mut log = CompletionLog::new();
-        for i in 0..20 {
-            log.record(t(i as f64 * 0.5)); // 2/s
-        }
-        let s = log.throughput_per_bucket(SimDuration::from_secs(2), t(10.0));
-        assert_eq!(s.len(), 5);
-        for (_, rate) in s.iter() {
-            assert!((rate - 2.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn longest_gap_detects_outage() {
-        let mut log = CompletionLog::new();
-        log.record(t(1.0));
-        log.record(t(2.0));
-        log.record(t(44.0)); // a 42-second outage
-        log.record(t(45.0));
-        let gap = log.longest_gap(t(0.0), t(50.0));
-        assert!((gap.as_secs_f64() - 42.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn longest_gap_counts_tail() {
-        let mut log = CompletionLog::new();
-        log.record(t(1.0));
-        let gap = log.longest_gap(t(0.0), t(100.0));
-        assert!((gap.as_secs_f64() - 99.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_log_gap_spans_whole_interval() {
-        let log = CompletionLog::new();
-        let gap = log.longest_gap(t(10.0), t(30.0));
-        assert!((gap.as_secs_f64() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn completion_log_spans_chunks() {
         // Three full chunks and a partial fourth, with a 40 s outage
         // straddling the first chunk boundary.
@@ -409,14 +314,6 @@ mod tests {
         assert_eq!(log.len(), n);
         assert_eq!(log.chunks.len(), 4);
 
-        for (lo, hi) in [(0.0, 200.0), (30.0, 81.0), (40.95, 81.0), (81.0, 200.0)] {
-            let naive = stamps
-                .iter()
-                .filter(|s| **s >= t(lo) && **s < t(hi))
-                .count();
-            assert_eq!(log.count_between(t(lo), t(hi)), naive, "[{lo}, {hi})");
-        }
-
         let window = 50;
         let windows: Vec<(SimTime, f64)> = log.throughput_per_window(window).iter().collect();
         assert_eq!(windows.len(), n / window);
@@ -427,21 +324,6 @@ mod tests {
             let span = (last - first).as_secs_f64();
             assert_eq!(rate, (window as f64 - 1.0) / span, "window {k}");
         }
-
-        let bucketed = log.throughput_per_bucket(SimDuration::from_secs(10), t(200.0));
-        let expected: Vec<f64> = (0..20)
-            .map(|b| {
-                let (lo, hi) = (t(b as f64 * 10.0), t((b + 1) as f64 * 10.0));
-                stamps.iter().filter(|s| **s >= lo && **s < hi).count() as f64 / 10.0
-            })
-            .collect();
-        let got: Vec<f64> = bucketed.iter().map(|(_, v)| v).collect();
-        assert_eq!(got, expected);
-
-        let gap = log.longest_gap(t(0.0), t(200.0)).as_secs_f64();
-        let outage = (stamps[CHUNK] - stamps[CHUNK - 1]).as_secs_f64();
-        assert!(outage > 40.0);
-        assert_eq!(gap, outage, "the outage across the chunk boundary");
     }
 
     #[test]

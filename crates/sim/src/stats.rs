@@ -15,17 +15,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().sum::<f64>() / xs.len() as f64)
 }
 
-/// Population variance. Returns `None` for an empty slice.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Population standard deviation. Returns `None` for an empty slice.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
 /// Result of an ordinary-least-squares straight-line fit `y = slope·x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
@@ -114,12 +103,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_empty_and_pair() {
         assert_eq!(mean(&[]), None);
         assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
-        assert_eq!(variance(&[1.0, 1.0, 1.0]), Some(0.0));
-        assert_eq!(variance(&[2.0, 4.0]), Some(1.0));
-        assert_eq!(std_dev(&[2.0, 4.0]), Some(1.0));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of microseconds in one second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// An absolute instant on the simulated clock, in microseconds since the
 /// simulation epoch (time zero).
@@ -90,7 +90,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    fn duration_since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
             "duration_since: {earlier} is later than {self}"

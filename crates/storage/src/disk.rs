@@ -160,7 +160,8 @@ impl Disk {
     }
 
     /// The direction of an in-flight transfer.
-    pub fn kind_of(&self, id: JobId) -> Option<IoKind> {
+    #[cfg(test)]
+    fn kind_of(&self, id: JobId) -> Option<IoKind> {
         self.kinds.get(&id).map(|(k, _)| *k)
     }
 
@@ -198,20 +199,6 @@ impl Disk {
             }
         }
         done
-    }
-
-    /// Analytic transfer time for `bytes` under a *steady* concurrency of
-    /// `flows` equal streams — a planning helper for tests and models, not
-    /// the simulation path.
-    pub fn steady_transfer_secs(&self, bytes: f64, flows: usize) -> f64 {
-        assert!(flows > 0, "at least one flow required");
-        let aggregate = self.config.bandwidth_bps
-            / (1.0 + self.config.contention_penalty * (flows as f64 - 1.0));
-        let mut per_flow = aggregate / flows as f64;
-        if let Some(cap) = self.config.per_stream_cap {
-            per_flow = per_flow.min(cap);
-        }
-        bytes / per_flow
     }
 }
 
@@ -292,18 +279,6 @@ mod tests {
         assert_eq!(cancelled.len(), 2);
         assert_eq!(d.in_flight(), 0);
         assert!(d.next_completion(SimTime::ZERO).is_none());
-    }
-
-    #[test]
-    fn steady_transfer_math() {
-        let d = Disk::default();
-        let one = d.steady_transfer_secs(85.0e6, 1);
-        assert!((one - 1.0).abs() < 1e-9);
-        // More flows => each flow strictly slower.
-        let t2 = d.steady_transfer_secs(85.0e6, 2);
-        let t11 = d.steady_transfer_secs(85.0e6, 11);
-        assert!(t2 > one * 2.0);
-        assert!(t11 > t2);
     }
 
     #[test]

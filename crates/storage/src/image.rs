@@ -257,11 +257,11 @@ impl MemoryImage {
 /// Granularity of dirty-extent accounting for incremental saves, in
 /// pages (64 pages = 256 KiB with 4 KiB pages — the unit a background
 /// delta snapshot reads, diffs and writes).
-pub const SNAPSHOT_EXTENT_PAGES: u64 = 64;
+const SNAPSHOT_EXTENT_PAGES: u64 = 64;
 
 /// Bytes of `p2m`'s mapped memory that may have changed since
-/// `since_epoch` of `contents`, rounded up to whole
-/// [`SNAPSHOT_EXTENT_PAGES`] extents.
+/// `since_epoch` of `contents`, rounded up to whole 64-page snapshot
+/// extents (256 KiB).
 ///
 /// Sound but conservative, exactly like
 /// [`FrameContents::unchanged_since`] per extent: an extent only counts
@@ -296,7 +296,6 @@ pub fn dirty_extent_bytes(p2m: &P2mTable, contents: &FrameContents, since_epoch:
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaChain {
     image: MemoryImage,
-    base_bytes: u64,
     delta_bytes: Vec<u64>,
     contents_epoch: u64,
     p2m_epoch: u64,
@@ -306,10 +305,8 @@ impl DeltaChain {
     /// Starts a chain from a full base snapshot taken at the given
     /// contents/P2M epochs.
     pub fn new(image: MemoryImage, contents_epoch: u64, p2m_epoch: u64) -> DeltaChain {
-        let base_bytes = image.size_bytes();
         DeltaChain {
             image,
-            base_bytes,
             delta_bytes: Vec::new(),
             contents_epoch,
             p2m_epoch,
@@ -353,13 +350,9 @@ impl DeltaChain {
         self.p2m_epoch
     }
 
-    /// Bytes the full base snapshot wrote.
-    pub fn base_bytes(&self) -> u64 {
-        self.base_bytes
-    }
-
     /// Bytes each recorded delta wrote, in order.
-    pub fn delta_bytes(&self) -> &[u64] {
+    #[cfg(test)]
+    fn delta_bytes(&self) -> &[u64] {
         &self.delta_bytes
     }
 
@@ -371,11 +364,6 @@ impl DeltaChain {
     /// True when no delta has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.delta_bytes.is_empty()
-    }
-
-    /// Total bytes ever written for this chain (base + every delta).
-    pub fn total_written(&self) -> u64 {
-        self.base_bytes + self.delta_bytes.iter().sum::<u64>()
     }
 }
 
@@ -498,7 +486,8 @@ impl ImageStore {
 
     /// Stores an image and its execution-state size, replacing any previous
     /// image for `key`.
-    pub fn put(&mut self, key: u32, image: MemoryImage, exec_state_bytes: u64) {
+    #[cfg(test)]
+    fn put(&mut self, key: u32, image: MemoryImage, exec_state_bytes: u64) {
         self.images.insert(key, (image, exec_state_bytes));
     }
 
@@ -844,8 +833,6 @@ mod tests {
         let base = MemoryImage::capture(&p2m, &mem);
         let mut chain = DeltaChain::new(base.clone(), mem.epoch(), 1);
         assert!(chain.is_empty());
-        assert_eq!(chain.base_bytes(), 256 * PAGE_SIZE);
-        assert_eq!(chain.total_written(), 256 * PAGE_SIZE);
         assert_eq!(chain.image(), &base);
 
         mem.write(p2m.lookup(Pfn(0)).unwrap(), 3);
@@ -853,7 +840,6 @@ mod tests {
         chain.record_delta(updated.clone(), 64 * PAGE_SIZE, mem.epoch(), 1);
         assert_eq!(chain.len(), 1);
         assert_eq!(chain.delta_bytes(), &[64 * PAGE_SIZE]);
-        assert_eq!(chain.total_written(), (256 + 64) * PAGE_SIZE);
         assert_eq!(chain.image(), &updated);
         assert_eq!(chain.contents_epoch(), mem.epoch());
 
@@ -862,7 +848,6 @@ mod tests {
         chain.mark_current(mem.epoch(), 1);
         assert_eq!(chain.contents_epoch(), mem.epoch());
         assert_eq!(chain.len(), 1);
-        assert_eq!(chain.total_written(), (256 + 64) * PAGE_SIZE);
     }
 
     #[test]

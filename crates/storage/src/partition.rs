@@ -52,18 +52,11 @@ impl std::error::Error for PartitionError {}
 /// One partition's metadata and I/O counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
-    owner: u32,
     size_bytes: u64,
     bytes_read: f64,
-    bytes_written: f64,
 }
 
 impl Partition {
-    /// The owning entity (a domain id in the VMM layer).
-    pub fn owner(&self) -> u32 {
-        self.owner
-    }
-
     /// Capacity in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.size_bytes
@@ -72,11 +65,6 @@ impl Partition {
     /// Bytes read from this partition.
     pub fn bytes_read(&self) -> f64 {
         self.bytes_read
-    }
-
-    /// Bytes written to this partition.
-    pub fn bytes_written(&self) -> f64 {
-        self.bytes_written
     }
 }
 
@@ -89,8 +77,8 @@ impl Partition {
 ///
 /// // The paper's 36.7 GB SCSI disk.
 /// let mut table = PartitionTable::new(36_700_000_000);
-/// let p = table.create(0, 3_000_000_000)?; // a 3 GB slice for domain 0
-/// assert_eq!(table.get(p).unwrap().owner(), 0);
+/// let p = table.create(3_000_000_000)?; // a 3 GB slice for one domain
+/// assert_eq!(table.get(p).unwrap().size_bytes(), 3_000_000_000);
 /// # Ok::<(), rh_storage::partition::PartitionError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -135,12 +123,12 @@ impl PartitionTable {
         self.parts.is_empty()
     }
 
-    /// Creates a partition of `size_bytes` owned by `owner`.
+    /// Creates a partition of `size_bytes`.
     ///
     /// # Errors
     ///
     /// [`PartitionError::DiskFull`] when not enough space remains.
-    pub fn create(&mut self, owner: u32, size_bytes: u64) -> Result<PartitionId, PartitionError> {
+    pub fn create(&mut self, size_bytes: u64) -> Result<PartitionId, PartitionError> {
         if size_bytes > self.free_bytes() {
             return Err(PartitionError::DiskFull {
                 requested: size_bytes,
@@ -152,38 +140,16 @@ impl PartitionTable {
         self.parts.insert(
             id,
             Partition {
-                owner,
                 size_bytes,
                 bytes_read: 0.0,
-                bytes_written: 0.0,
             },
         );
         Ok(PartitionId(id))
     }
 
-    /// Deletes a partition, reclaiming its space. Counters are discarded.
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::NoSuchPartition`] if absent.
-    pub fn delete(&mut self, id: PartitionId) -> Result<(), PartitionError> {
-        self.parts
-            .remove(&id.0)
-            .map(|_| ())
-            .ok_or(PartitionError::NoSuchPartition(id))
-    }
-
     /// Looks up a partition.
     pub fn get(&self, id: PartitionId) -> Option<&Partition> {
         self.parts.get(&id.0)
-    }
-
-    /// The first partition owned by `owner`, if any.
-    pub fn find_by_owner(&self, owner: u32) -> Option<PartitionId> {
-        self.parts
-            .iter()
-            .find(|(_, p)| p.owner == owner)
-            .map(|(&id, _)| PartitionId(id))
     }
 
     /// Records completed I/O against a partition.
@@ -199,20 +165,6 @@ impl PartitionTable {
         p.bytes_read += bytes;
         Ok(())
     }
-
-    /// Records completed write I/O against a partition.
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::NoSuchPartition`] if absent.
-    pub fn record_write(&mut self, id: PartitionId, bytes: f64) -> Result<(), PartitionError> {
-        let p = self
-            .parts
-            .get_mut(&id.0)
-            .ok_or(PartitionError::NoSuchPartition(id))?;
-        p.bytes_written += bytes;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -222,25 +174,22 @@ mod tests {
     #[test]
     fn create_and_account() {
         let mut t = PartitionTable::new(1000);
-        let a = t.create(7, 400).unwrap();
-        let b = t.create(8, 400).unwrap();
+        let a = t.create(400).unwrap();
+        let b = t.create(400).unwrap();
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
         assert_eq!(t.free_bytes(), 200);
         t.record_read(a, 100.0).unwrap();
-        t.record_write(a, 50.0).unwrap();
         let p = t.get(a).unwrap();
         assert_eq!(p.bytes_read(), 100.0);
-        assert_eq!(p.bytes_written(), 50.0);
-        assert_eq!(p.owner(), 7);
         assert_eq!(p.size_bytes(), 400);
     }
 
     #[test]
     fn disk_full_rejected() {
         let mut t = PartitionTable::new(100);
-        let _ = t.create(0, 80).unwrap();
-        let err = t.create(1, 30).unwrap_err();
+        let _ = t.create(80).unwrap();
+        let err = t.create(30).unwrap_err();
         assert_eq!(
             err,
             PartitionError::DiskFull {
@@ -248,28 +197,6 @@ mod tests {
                 available: 20
             }
         );
-    }
-
-    #[test]
-    fn delete_reclaims_space() {
-        let mut t = PartitionTable::new(100);
-        let a = t.create(0, 80).unwrap();
-        t.delete(a).unwrap();
-        assert_eq!(t.free_bytes(), 100);
-        assert!(t.is_empty());
-        assert!(matches!(
-            t.delete(a),
-            Err(PartitionError::NoSuchPartition(_))
-        ));
-    }
-
-    #[test]
-    fn find_by_owner() {
-        let mut t = PartitionTable::new(100);
-        let a = t.create(5, 10).unwrap();
-        let _b = t.create(6, 10).unwrap();
-        assert_eq!(t.find_by_owner(5), Some(a));
-        assert_eq!(t.find_by_owner(99), None);
     }
 
     #[test]

@@ -275,13 +275,6 @@ impl HostConfig {
         self
     }
 
-    /// Overrides the streamed-restore working-set fraction (clamped to
-    /// `(0, 1]`; a full working set makes Streamed behave like Saved).
-    pub fn with_stream_working_set(mut self, fraction: f64) -> Self {
-        self.stream_working_set = fraction.clamp(f64::MIN_POSITIVE, 1.0);
-        self
-    }
-
     /// Overrides the streaming request locality (clamped to `[0, 1]`).
     pub fn with_stream_locality(mut self, locality: f64) -> Self {
         self.stream_locality = locality.clamp(0.0, 1.0);
@@ -438,10 +431,8 @@ mod tests {
         assert_eq!(c.snapshot_interval, None);
 
         let c = c
-            .with_stream_working_set(7.0)
             .with_stream_locality(-0.5)
             .with_snapshot_interval(Some(SimDuration::from_secs(120)));
-        assert!((c.stream_working_set - 1.0).abs() < 1e-12);
         assert_eq!(c.stream_locality, 0.0);
         assert_eq!(c.snapshot_interval, Some(SimDuration::from_secs(120)));
     }

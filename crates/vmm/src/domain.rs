@@ -180,7 +180,7 @@ pub struct Domain {
 
 /// Fraction of guest memory used as page cache ("modern operating systems
 /// use most of free memory as the file cache", §2).
-pub const CACHE_FRACTION: f64 = 0.85;
+const CACHE_FRACTION: f64 = 0.85;
 
 impl Domain {
     /// Creates a not-yet-booted domain.

@@ -83,10 +83,10 @@ impl std::error::Error for ChannelError {}
 /// # Examples
 ///
 /// ```
-/// use rh_vmm::events::{ChannelKind, EventChannelTable};
+/// use rh_vmm::events::EventChannelTable;
 ///
-/// let mut table = EventChannelTable::new();
-/// let suspend = table.bind(ChannelKind::Suspend)?;
+/// let mut table = EventChannelTable::standard_domu();
+/// let suspend = table.suspend_port().expect("a domU binds the suspend channel");
 /// table.notify(suspend)?;                       // the VMM requests suspend
 /// assert!(table.take_pending(suspend)?);        // the guest handler sees it
 /// # Ok::<(), rh_vmm::events::ChannelError>(())
@@ -146,7 +146,7 @@ impl EventChannelTable {
     ///
     /// [`ChannelError::SuspendAlreadyBound`] for a duplicate suspend
     /// channel — a domain has exactly one.
-    pub fn bind(&mut self, kind: ChannelKind) -> Result<u32, ChannelError> {
+    fn bind(&mut self, kind: ChannelKind) -> Result<u32, ChannelError> {
         if kind == ChannelKind::Suspend && self.suspend_port().is_some() {
             return Err(ChannelError::SuspendAlreadyBound);
         }
@@ -225,7 +225,8 @@ impl EventChannelTable {
     /// # Errors
     ///
     /// [`ChannelError::BadPort`] if unbound.
-    pub fn set_masked(&mut self, port: u32, masked: bool) -> Result<(), ChannelError> {
+    #[cfg(test)]
+    fn set_masked(&mut self, port: u32, masked: bool) -> Result<(), ChannelError> {
         let c = self
             .channels
             .get_mut(&port)

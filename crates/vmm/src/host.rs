@@ -34,7 +34,7 @@
 //!   cold.
 //!
 //! Every timing result in the paper's §5 is produced by driving this world:
-//! downtime meters record service outages, [`RebootMetrics`] records the
+//! downtime meters record service outages, a [`Timeline`] records the
 //! Fig. 7 phase breakdown, the httperf client records the throughput
 //! traces, and memory-image captures verify (not assume!) image
 //! preservation: each memory-preserving reboot captures every guest's
@@ -58,7 +58,7 @@ use rh_memory::contents::FrameContents;
 use rh_memory::frame::frames_for_bytes;
 use rh_net::downtime::{DowntimeMeter, ProbeLog};
 use rh_net::httperf::HttperfClient;
-use rh_obs::{Event, EventLog, Metrics, Phase, RecoveryKind};
+use rh_obs::{Event, EventLog, Metrics, Phase, RecoveryKind, Timeline};
 use rh_sim::engine::{Scheduler, World};
 use rh_sim::histogram::LatencyHistogram;
 use rh_sim::resource::{JobId, PsResource, Retick};
@@ -72,7 +72,6 @@ use crate::config::{HostConfig, Image, RebootStrategy, Reload, Resume, SuspendOr
 use crate::domain::{Domain, DomainId, ExecState};
 use crate::fault::{FaultAction, FaultContext, FaultHook, InjectPoint};
 use crate::idmap::IdMap;
-use crate::metrics::RebootMetrics;
 use crate::timing::TimingParams;
 use crate::vmm::{Vmm, VmmError};
 
@@ -335,7 +334,7 @@ pub struct Host {
     file_reads: BTreeMap<DomainId, (SimTime, u64, SimDuration)>,
     file_read_results: Vec<FileReadResult>,
     /// Phase timeline of the most recent reboot (Fig. 7 data).
-    pub metrics: RebootMetrics,
+    pub metrics: Timeline,
     /// Typed structured event trace.
     pub trace: EventLog,
     /// Counters and timers accumulated across the host's whole life
@@ -399,7 +398,7 @@ impl Host {
         let slice = 36_700_000_000 / (cfg.domains.len() as u64 + 1).max(1);
         for i in 0..cfg.domains.len() {
             let id = DomainId(i as u32 + 1);
-            if let Ok(pid) = partitions.create(id.0, slice) {
+            if let Ok(pid) = partitions.create(slice) {
                 partition_of.insert(id, pid);
             }
         }
@@ -430,7 +429,7 @@ impl Host {
             next_req: 0,
             file_reads: BTreeMap::new(),
             file_read_results: Vec::new(),
-            metrics: RebootMetrics::new(),
+            metrics: Timeline::new(),
             trace,
             stats: Metrics::new(),
             reports: Vec::new(),

@@ -14,9 +14,9 @@
 //!   throughput;
 //! * [`harness`] — a blocking-style driver ([`harness::HostSim`]) for
 //!   experiments;
-//! * [`domain`], [`timing`], [`config`], [`metrics`], [`xenstored`] —
-//!   domains, calibrated constants, configuration, Fig. 7 phase spans, and
-//!   the aging-prone xenstored daemon.
+//! * [`domain`], [`timing`], [`config`], [`xenstored`] — domains,
+//!   calibrated constants, configuration, and the aging-prone xenstored
+//!   daemon.
 //!
 //! ## Example: reproduce the headline result
 //!
@@ -48,9 +48,7 @@ pub mod events;
 pub mod fault;
 pub mod harness;
 pub mod host;
-pub mod hypercall;
 mod idmap;
-pub mod metrics;
 pub mod timing;
 pub mod vmm;
 pub mod xenstored;
@@ -62,8 +60,6 @@ pub use events::{ChannelError, ChannelKind, EventChannel, EventChannelTable};
 pub use fault::{FaultAction, FaultContext, FaultHook, InjectPoint};
 pub use harness::{booted_host, HostSim};
 pub use host::{FileReadResult, Host, HostEvent, RebootReport};
-pub use hypercall::{dispatch, dispatch_hooked, Hypercall, HypercallError, HypercallResult};
-pub use metrics::{PhaseSpan, RebootMetrics};
 pub use timing::TimingParams;
 pub use vmm::{Vmm, VmmError, VmmState};
 pub use xenstored::{XenStored, XenStoredHealth};

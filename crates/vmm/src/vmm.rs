@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rh_memory::contents::FrameContents;
-use rh_memory::frame::{frames_for_bytes, FrameRange, Mfn, Pfn};
+use rh_memory::frame::{FrameRange, Mfn, Pfn};
 use rh_memory::heap::VmmHeap;
 use rh_memory::machine::{MachineMemory, MemoryError};
 use rh_memory::p2m::P2mError;
@@ -624,11 +624,6 @@ impl Vmm {
         }
         Ok(())
     }
-
-    /// Frames needed for a memory size in bytes — re-exported convenience.
-    pub fn frames_for(bytes: u64) -> u64 {
-        frames_for_bytes(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -897,10 +892,5 @@ mod tests {
         assert!(contents.read(top_mfn).is_some());
         vmm.balloon_out(&mut dom, &mut contents, 16).unwrap();
         assert_eq!(contents.read(top_mfn), None, "released frames are scrubbed");
-    }
-
-    #[test]
-    fn frames_for_helper() {
-        assert_eq!(Vmm::frames_for(gib(1)), FRAMES_PER_GIB);
     }
 }

@@ -48,7 +48,7 @@ impl XexecImage {
     }
 
     /// Combined integrity checksum over all three parts.
-    pub fn checksum(&self) -> u64 {
+    fn checksum(&self) -> u64 {
         splitmix64(
             self.vmm_digest
                 ^ splitmix64(self.dom0_kernel_digest)
@@ -102,7 +102,6 @@ impl std::error::Error for XexecError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct XexecState {
     staged: Option<(XexecImage, u64)>,
-    loads: u64,
     boots: u64,
 }
 
@@ -113,18 +112,15 @@ impl XexecState {
     }
 
     /// True if an image is staged and ready.
-    pub fn is_staged(&self) -> bool {
+    #[cfg(test)]
+    fn is_staged(&self) -> bool {
         self.staged.is_some()
     }
 
     /// The staged image, if any.
-    pub fn staged_image(&self) -> Option<&XexecImage> {
+    #[cfg(test)]
+    fn staged_image(&self) -> Option<&XexecImage> {
         self.staged.as_ref().map(|(i, _)| i)
-    }
-
-    /// Images loaded over the VMM's lifetime.
-    pub fn loads(&self) -> u64 {
-        self.loads
     }
 
     /// Successful reboots into staged images.
@@ -136,22 +132,13 @@ impl XexecState {
     /// Restaging replaces any previous image.
     pub fn load(&mut self, image: XexecImage) {
         self.staged = Some((image, image.checksum()));
-        self.loads += 1;
     }
 
-    /// Simulates memory corruption of the staged image (for tests and the
-    /// integrity ablation): flips the recorded payload without updating
-    /// the checksum.
-    pub fn corrupt_staged(&mut self) {
-        if let Some((image, _)) = self.staged.as_mut() {
-            image.initrd_digest ^= 0xDEAD;
-        }
-    }
-
-    /// Like [`corrupt_staged`](Self::corrupt_staged) with a caller-chosen
-    /// mask (fault injection draws it from a seeded stream). Returns whether
-    /// an image was staged to corrupt. A zero mask is forced to `0xDEAD`
-    /// so the call always actually flips bits.
+    /// Simulates memory corruption of the staged image: XORs the recorded
+    /// payload with `xor` (fault injection draws it from a seeded stream)
+    /// without updating the checksum. Returns whether an image was staged
+    /// to corrupt. A zero mask is forced to `0xDEAD` so the call always
+    /// actually flips bits.
     pub fn corrupt_staged_with(&mut self, xor: u64) -> bool {
         match self.staged.as_mut() {
             Some((image, _)) => {
@@ -207,7 +194,6 @@ mod tests {
         let booted = x.take_for_boot().unwrap();
         assert_eq!(booted.version, 1);
         assert!(!x.is_staged(), "boot consumes the image");
-        assert_eq!(x.loads(), 1);
         assert_eq!(x.boots(), 1);
     }
 
@@ -217,14 +203,13 @@ mod tests {
         x.load(XexecImage::build(1));
         x.load(XexecImage::build(2));
         assert_eq!(x.staged_image().unwrap().version, 2);
-        assert_eq!(x.loads(), 2);
     }
 
     #[test]
     fn corruption_is_detected_at_boot() {
         let mut x = XexecState::new();
         x.load(XexecImage::build(3));
-        x.corrupt_staged();
+        assert!(x.corrupt_staged_with(0));
         let err = x.take_for_boot().unwrap_err();
         assert!(matches!(err, XexecError::IntegrityViolation { .. }));
         assert!(err.to_string().contains("corrupted"));

@@ -56,6 +56,7 @@ pub use rh_vmm as vmm;
 /// The most common imports for driving rejuvenation experiments.
 pub mod prelude {
     pub use rh_guest::services::ServiceKind;
+    pub use rh_obs::Phase;
     pub use rh_rejuv::availability::{AvailabilityComparison, AvailabilityModel};
     pub use rh_rejuv::model::DowntimeModel;
     pub use rh_rejuv::policy::{run_policy, TimeBasedPolicy};
@@ -64,5 +65,4 @@ pub mod prelude {
     pub use rh_vmm::domain::{DomainId, DomainSpec};
     pub use rh_vmm::harness::{booted_host, HostSim};
     pub use rh_vmm::host::RebootReport;
-    pub use rh_vmm::metrics::Phase;
 }
