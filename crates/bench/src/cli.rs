@@ -10,6 +10,8 @@
 //! * a usage error prints `{bin}: {message}` on stderr and exits 2;
 //! * a failed point, trace, fit or ablation prints a `!! …` line on
 //!   stdout, the run goes on, and the exit status is 1;
+//! * so does an output file that cannot be written, reported on stderr
+//!   as `{bin}: failed to write {path}: …`;
 //! * wall times go only to the `--json` run record, never to stdout, so
 //!   stdout is byte-identical at every `--jobs` count (DESIGN.md §10).
 
@@ -210,7 +212,7 @@ impl Run {
         if failed == 0 {
             return ExitCode::SUCCESS;
         }
-        eprintln!("{bin}: {failed} failed (see the !! lines above)");
+        eprintln!("{bin}: {failed} failed (each reported above)");
         ExitCode::FAILURE
     }
 }

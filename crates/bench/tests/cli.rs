@@ -62,5 +62,12 @@ fn an_unwritable_json_path_fails_the_run() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     let names_path = format!("frontier: failed to write {path}: ");
     assert!(stderr.starts_with(&names_path), "{stderr}");
-    assert!(!out.stdout.is_empty(), "the sweep still ran");
+    // No `!!` line exists, so the closing count must not point to one.
+    assert!(
+        stderr.ends_with("frontier: 1 failed (each reported above)\n"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.is_empty(), "the sweep still ran");
+    assert!(!stdout.contains("!!"), "{stdout}");
 }
