@@ -10,7 +10,7 @@
 //! ## Modules
 //!
 //! * [`time`] — integer-microsecond instants and durations,
-//! * [`engine`] — the one event core: a binary heap whose entries carry
+//! * [`engine`] — the one event core: a 4-ary heap whose entries carry
 //!   their payloads inline, the [`engine::World`] trait (with its
 //!   [`engine::World::is_live`] hook for events the world has made stale)
 //!   and the [`engine::Simulation`] driver,
