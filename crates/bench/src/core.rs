@@ -5,7 +5,7 @@
 //! numbers tracked in `BENCH_core.json` (see PERFORMANCE.md):
 //!
 //! * `events_per_sec` / `ns_per_event` — self-scheduling event chain
-//!   through the one event core (a binary heap with inline payloads);
+//!   through the one event core (a 4-ary heap with inline payloads);
 //! * `digest_frames_per_sec` — full `logical_digest` rehash throughput;
 //! * `digest_early_out_ops_per_sec` — `FrameContents::unchanged_since`
 //!   probes, the dirty-log check behind incremental saves' dirty-extent
@@ -43,6 +43,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rh_fleet::sim::FleetEvent;
 use rh_guest::fs::FileSet;
 use rh_guest::services::ServiceKind;
 use rh_memory::contents::FrameContents;
@@ -51,6 +52,7 @@ use rh_memory::machine::MachineMemory;
 use rh_memory::p2m::P2mTable;
 use rh_net::httperf::{AccessPattern, HttperfClient};
 use rh_sim::engine::{Scheduler, Simulation, World};
+use rh_sim::rng::SimRng;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_storage::image::logical_digest;
 use rh_vmm::config::HostConfig;
@@ -61,6 +63,14 @@ use rh_vmm::harness::HostSim;
 const CHAIN_EVENTS: u64 = 200_000;
 /// Entries queued (every second one stale) per churn workload.
 const CHURN_EVENTS: u64 = 50_000;
+/// Entries pending throughout the hold workload: fleet-campaign's mean
+/// queue depth at 1,000 hosts (a departure per live VM, a crash timer per
+/// host).
+const HOLD_DEPTH: u32 = 5_280;
+/// Events fired per hold workload.
+const HOLD_EVENTS: u64 = 200_000;
+/// Mean delay of a hold entry, in seconds.
+const HOLD_MEAN_DELAY_S: f64 = 900.0;
 /// Frames in the digest workload's guest (256 MiB at 4 KiB/frame).
 const DIGEST_FRAMES: u64 = 65_536;
 /// `unchanged_since` calls per early-out sample.
@@ -142,6 +152,26 @@ impl World for StaleChain {
     }
 }
 
+/// The hold model at the fleet's queue depth: every event fired
+/// schedules itself again after an Exp(900 s) delay, so the queue keeps
+/// [`HOLD_DEPTH`] entries of the fleet's own event type.
+struct Hold {
+    rng: SimRng,
+}
+
+impl Hold {
+    fn delay(&mut self) -> SimDuration {
+        SimDuration::from_secs_f64(self.rng.exponential(HOLD_MEAN_DELAY_S))
+    }
+}
+
+impl World for Hold {
+    type Event = FleetEvent;
+    fn handle(&mut self, sched: &mut Scheduler<FleetEvent>, event: FleetEvent) {
+        sched.schedule_in(self.delay(), event);
+    }
+}
+
 fn chain() -> u64 {
     let mut sim = Simulation::new(Chain {
         remaining: CHAIN_EVENTS,
@@ -160,6 +190,22 @@ fn churn() -> u64 {
     sim.scheduler_mut().schedule_in(SimDuration::ZERO, false);
     sim.scheduler_mut().schedule_in(SimDuration::ZERO, true);
     sim.run_until_idle();
+    sim.scheduler().fired()
+}
+
+/// [`HOLD_EVENTS`] events through a queue filled to [`HOLD_DEPTH`] (the
+/// fill is part of the sample).
+fn hold() -> u64 {
+    let mut sim = Simulation::new(Hold {
+        rng: SimRng::from_seed(2007),
+    });
+    let (world, sched) = sim.parts_mut();
+    for vm in 0..HOLD_DEPTH {
+        sched.schedule_in(world.delay(), FleetEvent::Depart { vm });
+    }
+    for _ in 0..HOLD_EVENTS {
+        sim.step();
+    }
     sim.scheduler().fired()
 }
 
@@ -220,6 +266,7 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
 
     timed("engine/chain/heap", CHAIN_EVENTS, "events", &mut || chain());
     timed("engine/churn/heap", CHURN_EVENTS, "events", &mut || churn());
+    timed("engine/hold/heap", HOLD_EVENTS, "events", &mut || hold());
 
     let (p2m, contents) = digest_fixture();
     let frames = p2m.total_pages() * DIGEST_REPS;
@@ -622,6 +669,7 @@ mod tests {
         let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"engine/chain/heap"));
         assert!(names.contains(&"engine/churn/heap"));
+        assert!(names.contains(&"engine/hold/heap"));
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));
         assert!(names.contains(&"fleet/campaign"));

@@ -97,6 +97,9 @@ pub struct FleetWorld {
     next_arrival: Option<VmArrival>,
     crash_rng: SimRng,
     strategy_table: DowntimeTable,
+    /// `fleet.reboots.{strategy}`, named once: the strategy is fixed for
+    /// the run.
+    reboot_counter: String,
     recovery_table: Option<DowntimeTable>,
     migration: MigrationModel,
     metrics: Metrics,
@@ -274,14 +277,8 @@ impl FleetWorld {
         cell.epoch += 1;
         let epoch = cell.epoch;
         self.set_phase(host, HostPhase::Rebooting);
-        let strategy = self
-            .cfg
-            .campaign
-            // lint:allow(unwrap-panic): only reached via poll_campaign, gated on campaign_active which requires cfg.campaign
-            .expect("campaign reboot without a campaign config")
-            .strategy;
         let dt = self.strategy_table.get(n);
-        self.metrics.add(&format!("fleet.reboots.{strategy}"), 1);
+        self.metrics.add(&self.reboot_counter, 1);
         self.metrics.record("fleet.reboot_downtime", dt);
         sched.schedule_in(dt, FleetEvent::RebootDone { host, epoch });
     }
@@ -614,6 +611,7 @@ impl FleetSimulation {
             next_arrival,
             crash_rng: rng.fork(2),
             strategy_table,
+            reboot_counter: format!("fleet.reboots.{strategy}"),
             recovery_table,
             migration: MigrationModel::paper(),
             metrics: Metrics::new(),

@@ -11,9 +11,8 @@
 //! with bit-identical logical contents — verified via
 //! [`logical_digest`]. Captures are canonical, so comparing two of them
 //! is the O(extents) preservation check every memory-preserving reboot
-//! runs at resume. [`ImageStore`] models the on-disk save files.
+//! runs at resume.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use rh_memory::contents::{DigestBuilder, FrameContents};
@@ -469,58 +468,6 @@ pub fn logical_digest_paged(p2m: &P2mTable, contents: &FrameContents) -> u64 {
     d.finish()
 }
 
-/// The save files on disk, keyed by a caller-chosen domain identifier.
-///
-/// Holds the memory image plus the small execution-state record that a
-/// suspend writes alongside it (16 KB in the paper, §4.2).
-#[derive(Debug, Clone, Default)]
-pub struct ImageStore {
-    images: BTreeMap<u32, (MemoryImage, u64)>,
-}
-
-impl ImageStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        ImageStore::default()
-    }
-
-    /// Stores an image and its execution-state size, replacing any previous
-    /// image for `key`.
-    #[cfg(test)]
-    fn put(&mut self, key: u32, image: MemoryImage, exec_state_bytes: u64) {
-        self.images.insert(key, (image, exec_state_bytes));
-    }
-
-    /// Retrieves the image for `key`.
-    pub fn get(&self, key: u32) -> Option<&MemoryImage> {
-        self.images.get(&key).map(|(i, _)| i)
-    }
-
-    /// Removes and returns the image for `key` (a restore consumes the
-    /// file).
-    pub fn take(&mut self, key: u32) -> Option<(MemoryImage, u64)> {
-        self.images.remove(&key)
-    }
-
-    /// Number of stored images.
-    pub fn len(&self) -> usize {
-        self.images.len()
-    }
-
-    /// True if no images are stored.
-    pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
-    }
-
-    /// Total bytes occupied on disk (images + execution states).
-    pub fn total_bytes(&self) -> u64 {
-        self.images
-            .values()
-            .map(|(i, ex)| i.size_bytes() + ex)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,24 +596,6 @@ mod tests {
         image.restore(&p2m2, &mut mem).unwrap();
         assert_eq!(logical_digest(&p2m2, &mem), before);
         assert_eq!(mem.read(p2m2.lookup(Pfn(75)).unwrap()), None);
-    }
-
-    #[test]
-    fn image_store_lifecycle() {
-        let mut ram = MachineMemory::new(1 << 16);
-        let mut mem = FrameContents::new();
-        let p2m = mapped_domain(&mut ram, &mut mem, 64, 2);
-        let image = MemoryImage::capture(&p2m, &mem);
-        let mut store = ImageStore::new();
-        assert!(store.is_empty());
-        store.put(3, image.clone(), 16 * 1024);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.total_bytes(), 64 * PAGE_SIZE + 16 * 1024);
-        assert_eq!(store.get(3), Some(&image));
-        let (taken, exec) = store.take(3).unwrap();
-        assert_eq!(taken, image);
-        assert_eq!(exec, 16 * 1024);
-        assert!(store.take(3).is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`disk`] — a processor-sharing disk with calibrated 2007-era SCSI
 //!   timing (85 MB/s single stream, seek penalty under concurrency),
 //! * [`image`] — capture/restore of whole domain memory images with
-//!   logical-digest verification, plus the on-disk [`ImageStore`],
+//!   logical-digest verification,
 //! * [`partition`] — one-partition-per-VM layout and I/O accounting.
 //!
 //! Everything that makes the saved-VM baseline slow — and the cold-VM
@@ -21,5 +21,5 @@ pub mod image;
 pub mod partition;
 
 pub use disk::{Disk, DiskConfig, IoKind};
-pub use image::{logical_digest, ImageStore, MemoryImage, RestoreMismatch};
+pub use image::{logical_digest, MemoryImage, RestoreMismatch};
 pub use partition::{Partition, PartitionError, PartitionId, PartitionTable};
