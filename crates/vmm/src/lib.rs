@@ -8,10 +8,10 @@
 //!   replacement that re-reserves frozen domain memory from the preserved
 //!   P2M tables before its allocator runs), and the hardware reset that
 //!   destroys everything on the cold path;
-//! * [`host`] — the event-driven host world that sequences the three
-//!   reboot strategies (warm / cold / saved) over shared disk, CPU and
-//!   network resources, measuring downtime, phase timelines and request
-//!   throughput;
+//! * [`host`] — the event-driven host world that sequences the five
+//!   reboot strategies (warm / cold / saved / streamed / incremental)
+//!   over shared disk, CPU and network resources, measuring downtime,
+//!   phase timelines and request throughput;
 //! * [`harness`] — a blocking-style driver ([`harness::HostSim`]) for
 //!   experiments;
 //! * [`domain`], [`timing`], [`config`], [`xenstored`] — domains,
