@@ -25,6 +25,7 @@ use rh_cluster::driver::{CampaignDriver, FleetView, HostPhase};
 use rh_cluster::migration::MigrationModel;
 use rh_obs::metrics::Metrics;
 use rh_sim::engine::{Scheduler, Simulation, World};
+use rh_sim::histogram::LatencyHistogram;
 use rh_sim::rng::SimRng;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::RebootStrategy;
@@ -81,6 +82,12 @@ pub enum FleetEvent {
     CampaignStart,
 }
 
+/// The strategy every campaign reboot uses (warm when there is no
+/// campaign, whose table then goes unused).
+fn reboot_strategy(cfg: &FleetConfig) -> RebootStrategy {
+    cfg.campaign.map_or(RebootStrategy::Warm, |c| c.strategy)
+}
+
 /// The datacenter state driven by the event core.
 pub struct FleetWorld {
     cfg: FleetConfig,
@@ -97,12 +104,8 @@ pub struct FleetWorld {
     next_arrival: Option<VmArrival>,
     crash_rng: SimRng,
     strategy_table: DowntimeTable,
-    /// `fleet.reboots.{strategy}`, named once: the strategy is fixed for
-    /// the run.
-    reboot_counter: String,
     recovery_table: Option<DowntimeTable>,
     migration: MigrationModel,
-    metrics: Metrics,
     // Capacity / SLA accounting.
     down_vms: i64,
     last_touch: SimTime,
@@ -114,7 +117,8 @@ pub struct FleetWorld {
     campaign_finished: Option<SimTime>,
     cursor: u32,
     completed_count: u32,
-    // Counters mirrored into metrics.
+    // Run totals. Events update only these fields; `into_report` writes
+    // the `Metrics` registry from them once, at the end of the run.
     arrivals: u64,
     placed: u64,
     rejected: u64,
@@ -122,6 +126,14 @@ pub struct FleetWorld {
     crashes: u64,
     migrations: u64,
     pair_losses: u64,
+    /// `placement.latency`: one µs per host probed, per decision.
+    placement_latency: LatencyHistogram,
+    /// `fleet.reboot_downtime`: one sample per campaign reboot begun.
+    reboot_downtime: LatencyHistogram,
+    /// `fleet.migration_total`: one sample per evacuation migration begun.
+    migration_total: LatencyHistogram,
+    /// `fleet.recovery_time`: one sample per crash that landed.
+    recovery_time: LatencyHistogram,
 }
 
 impl std::fmt::Debug for FleetWorld {
@@ -200,10 +212,8 @@ impl FleetWorld {
             self.placement.choose(&q),
             "index diverged from the scan"
         );
-        self.metrics.record(
-            "placement.latency",
-            SimDuration::from_micros(u64::from(decision.scanned)),
-        );
+        self.placement_latency
+            .record(SimDuration::from_micros(u64::from(decision.scanned)));
         decision
     }
 
@@ -217,7 +227,6 @@ impl FleetWorld {
     /// Places one VM, returning `(vm, host)` on success.
     fn place_one(&mut self, peer_host: Option<u32>) -> Option<(u32, u32)> {
         self.arrivals += 1;
-        self.metrics.inc("fleet.arrivals");
         let decision = self.decide(peer_host);
         match decision.host {
             Some(h) => {
@@ -227,7 +236,6 @@ impl FleetWorld {
             }
             None => {
                 self.rejected += 1;
-                self.metrics.inc("fleet.rejected");
                 None
             }
         }
@@ -253,7 +261,6 @@ impl FleetWorld {
             losses += u64::from(both_down);
         }
         self.pair_losses += losses;
-        self.metrics.add("fleet.pair_losses", losses);
     }
 
     /// Arms the next aging crash for `host` under its current epoch.
@@ -278,8 +285,7 @@ impl FleetWorld {
         let epoch = cell.epoch;
         self.set_phase(host, HostPhase::Rebooting);
         let dt = self.strategy_table.get(n);
-        self.metrics.add(&self.reboot_counter, 1);
-        self.metrics.record("fleet.reboot_downtime", dt);
+        self.reboot_downtime.record(dt);
         sched.schedule_in(dt, FleetEvent::RebootDone { host, epoch });
     }
 
@@ -309,7 +315,7 @@ impl FleetWorld {
             let est = self.migration.migrate_vm(self.cfg.vm_mem_bytes);
             cum += est.total; // one migration stream, serialized
             self.store.begin_migration(vm, target);
-            self.metrics.record("fleet.migration_total", est.total);
+            self.migration_total.record(est.total);
             pending += 1;
             sched.schedule_at(
                 sched.now() + cum,
@@ -360,16 +366,44 @@ impl FleetWorld {
         self.set_phase(host, HostPhase::Serving);
     }
 
-    /// Final accounting, consumed by [`FleetSimulation::run`].
-    fn into_report(mut self, events: u64) -> FleetReport {
-        self.metrics
-            .set_gauge("fleet.hosts", i64::from(self.cfg.hosts));
-        self.metrics
-            .set_gauge("fleet.vms", i64::from(self.store.live()));
-        self.metrics
-            .set_gauge("campaign.completed", i64::from(self.completed_count));
-        self.metrics
-            .add("fleet.sla_violation_us", self.violation.as_micros());
+    /// Final accounting, consumed by [`FleetSimulation::run`]. Writes the
+    /// run totals into a fresh registry: a counter appears once it moved
+    /// (the pair-loss tally once a host went down, even if no pair was
+    /// lost), a timer once it holds a sample, and the SLA integral and the
+    /// gauges always.
+    fn into_report(self, events: u64) -> FleetReport {
+        let mut metrics = Metrics::new();
+        for (name, n) in [
+            ("fleet.arrivals", self.arrivals),
+            ("fleet.rejected", self.rejected),
+            ("fleet.departures", self.departures),
+            ("fleet.crashes", self.crashes),
+            ("fleet.migrations", self.migrations),
+        ] {
+            if n > 0 {
+                metrics.add(name, n);
+            }
+        }
+        let reboots = self.reboot_downtime.count();
+        if reboots > 0 || self.crashes > 0 {
+            metrics.add("fleet.pair_losses", self.pair_losses);
+        }
+        if reboots > 0 {
+            let strategy = reboot_strategy(&self.cfg);
+            metrics.add(&format!("fleet.reboots.{strategy}"), reboots);
+        }
+        metrics.add("fleet.sla_violation_us", self.violation.as_micros());
+        metrics.set_gauge("fleet.hosts", i64::from(self.cfg.hosts));
+        metrics.set_gauge("fleet.vms", i64::from(self.store.live()));
+        metrics.set_gauge("campaign.completed", i64::from(self.completed_count));
+        for (name, h) in [
+            ("placement.latency", &self.placement_latency),
+            ("fleet.reboot_downtime", &self.reboot_downtime),
+            ("fleet.migration_total", &self.migration_total),
+            ("fleet.recovery_time", &self.recovery_time),
+        ] {
+            metrics.record_histogram(name, h);
+        }
         FleetReport {
             hosts: self.cfg.hosts,
             events,
@@ -386,7 +420,7 @@ impl FleetWorld {
             sla_violation: self.violation,
             campaign_finished: self.campaign_finished,
             completed_hosts: self.completed_count,
-            metrics: self.metrics,
+            metrics,
         }
     }
 }
@@ -429,7 +463,6 @@ impl World for FleetWorld {
                 }
                 self.store.remove(vm);
                 self.departures += 1;
-                self.metrics.inc("fleet.departures");
             }
             FleetEvent::Crash { host, epoch } => {
                 let cell = self.cells[host as usize];
@@ -445,7 +478,6 @@ impl World for FleetWorld {
                 let epoch = cell.epoch;
                 self.set_phase(host, HostPhase::Recovering);
                 self.crashes += 1;
-                self.metrics.inc("fleet.crashes");
                 // lint:allow(unwrap-panic): arm_crash only fires when cfg.aging is Some
                 let aging = self.cfg.aging.expect("crash without an aging config");
                 let table = self
@@ -454,7 +486,7 @@ impl World for FleetWorld {
                     // lint:allow(unwrap-panic): with_workload builds recovery_table whenever aging is Some
                     .expect("crash without a recovery table");
                 let dt = aging.recovery.watchdog + table.get(n);
-                self.metrics.record("fleet.recovery_time", dt);
+                self.recovery_time.record(dt);
                 sched.schedule_in(dt, FleetEvent::RecoverDone { host, epoch });
             }
             FleetEvent::RecoverDone { host, epoch } => {
@@ -475,8 +507,6 @@ impl World for FleetWorld {
                 if !self.completed[host as usize] {
                     self.completed[host as usize] = true;
                     self.completed_count += 1;
-                    self.metrics
-                        .set_gauge("campaign.completed", i64::from(self.completed_count));
                 }
                 self.arm_crash(sched, host);
                 self.poll_campaign(sched);
@@ -491,7 +521,6 @@ impl World for FleetWorld {
                 if let VmState::Migrating { to, .. } = self.store.state(vm) {
                     self.store.finish_migration(vm);
                     self.migrations += 1;
-                    self.metrics.inc("fleet.migrations");
                     if self.is_down(to) {
                         // The target went down while the VM was in flight:
                         // it lands suspended and rejoins at the target's
@@ -583,9 +612,8 @@ impl FleetSimulation {
         cfg.validate()?;
         let rng = SimRng::from_seed(cfg.seed);
         let hosts = cfg.hosts as usize;
-        let strategy = cfg.campaign.map_or(RebootStrategy::Warm, |c| c.strategy);
         let strategy_table = DowntimeTable::for_strategy(
-            strategy,
+            reboot_strategy(&cfg),
             cfg.slots_per_host,
             cfg.vm_mem_bytes,
             cfg.host_ram_gib,
@@ -611,10 +639,8 @@ impl FleetSimulation {
             next_arrival,
             crash_rng: rng.fork(2),
             strategy_table,
-            reboot_counter: format!("fleet.reboots.{strategy}"),
             recovery_table,
             migration: MigrationModel::paper(),
-            metrics: Metrics::new(),
             down_vms: 0,
             last_touch: SimTime::ZERO,
             violation: SimDuration::ZERO,
@@ -631,6 +657,10 @@ impl FleetSimulation {
             crashes: 0,
             migrations: 0,
             pair_losses: 0,
+            placement_latency: LatencyHistogram::new(),
+            reboot_downtime: LatencyHistogram::new(),
+            migration_total: LatencyHistogram::new(),
+            recovery_time: LatencyHistogram::new(),
             cfg,
         };
         let mut sim = Simulation::new(world);

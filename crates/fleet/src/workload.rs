@@ -5,7 +5,11 @@
 //! only coupling between workload and fleet. [`SyntheticWorkload`] draws
 //! a non-homogeneous Poisson process (Lewis–Shedler thinning against the
 //! diurnal peak rate) from its own seeded [`SimRng`] stream, so the same
-//! config replays byte-identically. [`TraceWorkload`] replays a recorded
+//! config replays byte-identically. Each candidate's uniform is drawn
+//! before the diurnal curve is evaluated: a draw below the curve's floor
+//! `(1 − a)/(1 + a)` accepts whatever the sine reads, so the sine runs
+//! only for draws above it (40 % of candidates at the fleet's `a = 0.25`).
+//! [`TraceWorkload`] replays a recorded
 //! arrival list — record a synthetic run once with
 //! [`TraceWorkload::record`], or load a trace from the plain-text format
 //! ([`TraceWorkload::parse`] for strings, [`TraceWorkload::load`] /
@@ -42,6 +46,11 @@ pub struct SyntheticWorkload {
     cfg: WorkloadConfig,
     horizon: SimDuration,
     rng: SimRng,
+    /// The diurnal peak rate λ_peak, the thinning envelope.
+    peak: f64,
+    /// A lower bound on every candidate's acceptance probability
+    /// λ(t)/λ_peak, or 0 where none holds.
+    floor: f64,
     /// Candidate-process clock, seconds.
     t: f64,
 }
@@ -49,35 +58,60 @@ pub struct SyntheticWorkload {
 impl SyntheticWorkload {
     /// A workload over `[0, horizon]` drawing from `rng`.
     pub fn new(cfg: WorkloadConfig, horizon: SimDuration, rng: SimRng) -> Self {
+        let a = cfg.diurnal_amplitude;
+        let peak = cfg.arrival_rate * (1.0 + a);
+        // `acceptance` with the sine at −1 (`a × −1` is exactly `−a`), by
+        // the same float operations: for `a` in [0, 1) each step (× a ≥ 0,
+        // 1 + ·, × rate > 0, ÷ peak > 0) rounds monotonically, so no
+        // candidate's probability falls below it. Outside that range, or
+        // with a zero period (a NaN phase), `acceptance` must run at every
+        // candidate to panic where it always has.
+        let floor = if (0.0..1.0).contains(&a) && !cfg.diurnal_period.is_zero() {
+            cfg.arrival_rate * (1.0 - a) / peak
+        } else {
+            0.0
+        };
         SyntheticWorkload {
             cfg,
             horizon,
             rng,
+            peak,
+            floor,
             t: 0.0,
         }
     }
 
-    /// The instantaneous arrival rate at `t` seconds.
-    fn rate_at(&self, t: f64) -> f64 {
+    /// The thinning acceptance probability λ(t)/λ_peak at `t` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it falls outside `[0, 1]`, as it can for an amplitude
+    /// outside `[0, 1)` or a zero period (both of which
+    /// [`WorkloadConfig::validate`] rejects).
+    fn acceptance(&self, t: f64) -> f64 {
         let phase = t / self.cfg.diurnal_period.as_secs_f64() * std::f64::consts::TAU;
-        self.cfg.arrival_rate * (1.0 + self.cfg.diurnal_amplitude * phase.sin())
+        let rate = self.cfg.arrival_rate * (1.0 + self.cfg.diurnal_amplitude * phase.sin());
+        let p = rate / self.peak;
+        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+        p
     }
 }
 
 impl WorkloadReader for SyntheticWorkload {
     fn next_arrival(&mut self) -> Option<VmArrival> {
-        let peak = self.cfg.arrival_rate * (1.0 + self.cfg.diurnal_amplitude);
-        if peak <= 0.0 {
+        if self.peak <= 0.0 {
             return None;
         }
         let horizon = self.horizon.as_secs_f64();
         loop {
-            self.t += self.rng.exponential(1.0 / peak);
+            self.t += self.rng.exponential(1.0 / self.peak);
             if self.t > horizon {
                 return None;
             }
-            // Thinning: accept with probability λ(t)/λ_peak.
-            if !self.rng.chance(self.rate_at(self.t) / peak) {
+            // Thinning: accept with probability λ(t)/λ_peak. A uniform
+            // below the floor is below that probability too.
+            let u = self.rng.next_f64();
+            if u >= self.floor && u >= self.acceptance(self.t) {
                 continue;
             }
             let lifetime = self

@@ -98,6 +98,16 @@ impl Metrics {
         }
     }
 
+    /// Folds every sample of `h` into a timer at once: the registry ends
+    /// exactly as if each had been [`record`](Self::record)ed, so an empty
+    /// `h` leaves it untouched. Lets a hot loop count into a local
+    /// histogram and name the timer once.
+    pub fn record_histogram(&mut self, name: &str, h: &LatencyHistogram) {
+        if !h.is_empty() {
+            self.timers.entry(name.to_string()).or_default().merge(h);
+        }
+    }
+
     /// The histogram behind a timer, if any samples were recorded.
     pub fn timer(&self, name: &str) -> Option<&LatencyHistogram> {
         self.timers.get(name)
@@ -212,6 +222,29 @@ mod tests {
         let h = m.timer("mttr").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.mean(), Some(ms(200)));
+    }
+
+    #[test]
+    fn folding_a_histogram_equals_recording_its_samples() {
+        let samples = [ms(3), ms(0), ms(250), ms(3)];
+        let mut h = LatencyHistogram::new();
+        for &d in &samples {
+            h.record(d);
+        }
+        let mut one_by_one = Metrics::new();
+        let mut folded = Metrics::new();
+        for m in [&mut one_by_one, &mut folded] {
+            m.record("t", ms(7));
+        }
+        for &d in &samples {
+            one_by_one.record("t", d);
+            one_by_one.record("fresh", d);
+        }
+        folded.record_histogram("t", &h);
+        folded.record_histogram("fresh", &h);
+        folded.record_histogram("empty", &LatencyHistogram::new());
+        assert_eq!(folded, one_by_one);
+        assert!(folded.timer("empty").is_none());
     }
 
     #[test]
