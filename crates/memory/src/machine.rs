@@ -79,6 +79,8 @@ pub struct MachineMemory {
     total: u64,
     /// Free extents, keyed by start frame, coalesced and non-overlapping.
     free: BTreeMap<u64, u64>,
+    /// The sum of `free`'s lengths, kept in step by every change to it.
+    free_frames: u64,
 }
 
 impl MachineMemory {
@@ -97,6 +99,7 @@ impl MachineMemory {
         MachineMemory {
             total: total_frames,
             free,
+            free_frames: total_frames,
         }
     }
 
@@ -107,7 +110,7 @@ impl MachineMemory {
 
     /// Frames currently free.
     pub fn free_frames(&self) -> u64 {
-        self.free.values().sum()
+        self.free_frames
     }
 
     /// Frames currently allocated.
@@ -179,7 +182,7 @@ impl MachineMemory {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let free = self.free_frames();
+        let free = self.free_frames;
         if free < count {
             return Err(MemoryError::OutOfFrames {
                 requested: count,
@@ -201,6 +204,7 @@ impl MachineMemory {
             }
             out.push(FrameRange::new(Mfn(start), take));
             remaining -= take;
+            self.free_frames -= take;
         }
         Ok(out)
     }
@@ -240,6 +244,7 @@ impl MachineMemory {
             if take_end < ext_end {
                 self.free.insert(take_end, ext_end - take_end);
             }
+            self.free_frames -= take_end - cursor;
             cursor = take_end;
         }
         Ok(())
@@ -282,6 +287,7 @@ impl MachineMemory {
     }
 
     fn insert_free(&mut self, start: u64, count: u64) {
+        self.free_frames += count;
         let mut start = start;
         let mut count = count;
         // Coalesce with predecessor.
@@ -307,13 +313,17 @@ impl MachineMemory {
     pub fn hardware_reset(&mut self) {
         self.free.clear();
         self.free.insert(0, self.total);
+        self.free_frames = self.total;
     }
 
     /// Verifies internal consistency (free extents sorted, coalesced, in
-    /// bounds, non-overlapping). Used by property tests.
+    /// bounds, non-overlapping, and summing to the free count). Used by
+    /// property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev_end: Option<u64> = None;
+        let mut sum = 0;
         for (&s, &c) in &self.free {
+            sum += c;
             if c == 0 {
                 return Err(format!("zero-length free extent at {s}"));
             }
@@ -329,6 +339,12 @@ impl MachineMemory {
                 }
             }
             prev_end = Some(s + c);
+        }
+        if sum != self.free_frames {
+            return Err(format!(
+                "free extents sum to {sum}, free count reads {}",
+                self.free_frames
+            ));
         }
         Ok(())
     }
