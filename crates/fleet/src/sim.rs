@@ -575,7 +575,8 @@ pub struct FleetReport {
     pub campaign_finished: Option<SimTime>,
     /// Hosts whose rejuvenation completed.
     pub completed_hosts: u32,
-    /// The run's full metric registry.
+    /// The run's full metric registry, written once from the run's
+    /// totals when the report is built.
     pub metrics: Metrics,
 }
 
