@@ -13,6 +13,12 @@
 //! `Ok(0)` refusal on frozen controllers is invariant I8 operating in the
 //! large, and a parked image leaves the pool only by being revived.
 //!
+//! The running VMs sit in one `Vec` sorted by id, so a start is a binary
+//! search and (almost always) an append, a departure a binary search and
+//! a shift of the VMs younger than it, and balloon reclaim walks the
+//! running VMs oldest first. A released image's machine ranges go through
+//! one buffer the cell keeps for the run.
+//!
 //! Cold-start latency is the simulated span from arrival to VM start:
 //! queue wait (if the arrival had to wait for frames) plus the closed-form
 //! provisioning work below. The closed forms are calibrated against
@@ -20,10 +26,10 @@
 //! reload dominated by per-page digest validation, §5.2 of the paper).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use rh_memory::balloon::BalloonController;
-use rh_memory::frame::Pfn;
+use rh_memory::frame::{FrameRange, Pfn};
 use rh_memory::machine::MachineMemory;
 use rh_memory::p2m::P2mTable;
 use rh_obs::{Event, EventLog};
@@ -121,12 +127,17 @@ impl CellReport {
 pub struct CellSimulation {
     cfg: CellConfig,
     ram: MachineMemory,
-    /// Running VMs by id (iteration order = reclaim order).
-    active: BTreeMap<u64, Vm>,
+    /// Running VMs as `(id, vm)`, sorted by id; iteration order is
+    /// reclaim order. Ids are handed out in arrival order, so a start
+    /// almost always appends, but a VM that waited for frames can start
+    /// after a younger one.
+    active: Vec<(u64, Vm)>,
     /// Warm pool, oldest first; images frozen in place.
     parked: VecDeque<Vm>,
     /// Arrivals waiting for frames: (vm id, arrived, lifetime).
     waiting: VecDeque<(u64, SimTime, SimDuration)>,
+    /// A departing VM's machine ranges, refilled for each release.
+    ranges: Vec<FrameRange>,
     /// Departure events: (time, seq, vm id).
     departures: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     seq: u64,
@@ -149,9 +160,10 @@ impl CellSimulation {
         Ok(CellSimulation {
             cfg,
             ram,
-            active: BTreeMap::new(),
+            active: Vec::new(),
             parked: VecDeque::new(),
             waiting: VecDeque::new(),
+            ranges: Vec::new(),
             departures: BinaryHeap::new(),
             seq: 0,
             next_vm: 0,
@@ -261,9 +273,10 @@ impl CellSimulation {
 
     fn on_departure(&mut self, at: SimTime, id: u64, log: &mut EventLog) -> Result<(), String> {
         self.report.events += 1;
-        let Some(mut vm) = self.active.remove(&id) else {
+        let Ok(i) = self.active.binary_search_by_key(&id, |&(vm, _)| vm) else {
             return Err(format!("cell: departure for unknown vm{id}"));
         };
+        let (_, mut vm) = self.active.remove(i);
         self.report.completed += 1;
         let parkable =
             self.cfg.strategy != ProvisionStrategy::Cold && self.parked.len() < self.cfg.warm_pool;
@@ -272,8 +285,13 @@ impl CellSimulation {
             self.parked.push_back(vm);
             log.emit(at, Event::CellParked { vm: id });
         } else {
+            // One release over all of the image's ranges, so a bad range
+            // frees none of them.
+            self.ranges.clear();
+            self.ranges
+                .extend(vm.p2m.iter_extents().map(|(_, range)| range));
             self.ram
-                .release(&vm.p2m.machine_ranges())
+                .release(&self.ranges)
                 .map_err(|e| format!("cell: release on depart: {e}"))?;
             log.emit(at, Event::CellDeparted { vm: id });
         }
@@ -310,7 +328,12 @@ impl CellSimulation {
             BootKind::Cold => self.report.cold_boots += 1,
         }
         let started = at + work;
-        self.active.insert(id, vm);
+        let slot = self.active.partition_point(|&(vm, _)| vm < id);
+        self.active.insert(slot, (id, vm));
+        debug_assert!(
+            self.active.windows(2).all(|w| w[0].0 < w[1].0),
+            "cell: running VMs out of id order after starting vm{id}"
+        );
         self.note_resident();
         self.seq += 1;
         self.departures
@@ -359,7 +382,7 @@ impl CellSimulation {
         {
             let mut want = self.cfg.vm_pages - self.ram.free_frames();
             let mut took = 0;
-            for vm in self.active.values_mut() {
+            for (_, vm) in &mut self.active {
                 if want == 0 {
                     break;
                 }
