@@ -4,7 +4,10 @@
 //! residency. It is deliberately plain `Vec` state — no hash maps, no
 //! interior mutability — so iteration order (and therefore every consumer
 //! of it) is deterministic, and the hot-path operations are O(1) except
-//! the per-host VM list edits, which are O(VMs-on-host).
+//! the per-host VM list edits, which are O(VMs-on-host). The per-host
+//! resident lists share one flat array of `capacity` slots per host
+//! rather than one heap vector each: a host never has more residents than
+//! slots, so its list always fits in its stretch.
 //!
 //! Capacity is reservation-based: a migrating VM holds a slot on **both**
 //! its source (where it still resides) and its target (where it will
@@ -155,8 +158,11 @@ pub struct PlacementStore {
     used: Vec<u32>,
     /// VMs physically resident per host (what a reboot suspends).
     resident: Vec<u32>,
-    /// Resident VM ids per host (evacuation lists, pair audits).
-    on_host: Vec<Vec<u32>>,
+    /// Resident VM ids (evacuation lists, pair audits), `capacity` slots
+    /// per host: host `h`'s residents are the first `resident[h]` of its
+    /// slots, in placement order. `resident ≤ used ≤ capacity` keeps every
+    /// list inside its host's slots.
+    on_host: Vec<u32>,
     /// Whether each host accepts new VMs (mirrors the campaign phase).
     serving: Vec<bool>,
     /// Serving hosts with a free slot, by used-slot level.
@@ -175,7 +181,7 @@ impl PlacementStore {
             capacity,
             used: vec![0; hosts as usize],
             resident: vec![0; hosts as usize],
-            on_host: vec![Vec::new(); hosts as usize],
+            on_host: vec![0; hosts as usize * capacity as usize],
             serving: vec![true; hosts as usize],
             free: FreeSlots::all_empty(hosts, capacity),
             vms: Vec::new(),
@@ -222,7 +228,13 @@ impl PlacementStore {
 
     /// Resident VM ids on `host`, in placement order.
     pub fn vms_on(&self, host: u32) -> &[u32] {
-        &self.on_host[host as usize]
+        let first = self.first_slot(host);
+        &self.on_host[first..first + self.resident[host as usize] as usize]
+    }
+
+    /// `host`'s first slot in `on_host`.
+    fn first_slot(&self, host: u32) -> usize {
+        host as usize * self.capacity as usize
     }
 
     /// Currently live (placed or migrating) VMs.
@@ -294,8 +306,7 @@ impl PlacementStore {
     pub fn insert(&mut self, host: u32) -> u32 {
         let vm = self.vms.len() as u32;
         self.occupy(host);
-        self.resident[host as usize] += 1;
-        self.on_host[host as usize].push(vm);
+        self.add_resident(host, vm);
         self.vms.push(VmEntry {
             state: VmState::Placed { host },
             peer: None,
@@ -311,15 +322,31 @@ impl PlacementStore {
         self.vms[b as usize].peer = Some(a);
     }
 
+    /// Appends `vm` to `host`'s residents, in the slot after the last.
+    /// The host's slot is already taken, so its residents fit its slots.
+    fn add_resident(&mut self, host: u32, vm: u32) {
+        debug_assert!(
+            self.resident[host as usize] < self.used[host as usize],
+            "host {host}: a new resident needs a slot it already holds"
+        );
+        let slot = self.first_slot(host) + self.resident[host as usize] as usize;
+        self.on_host[slot] = vm;
+        self.resident[host as usize] += 1;
+    }
+
+    /// Removes `vm` from `host`'s residents; the host's last resident takes
+    /// its place (`Vec::swap_remove`'s order).
     fn drop_resident(&mut self, host: u32, vm: u32) {
-        self.resident[host as usize] -= 1;
-        let list = &mut self.on_host[host as usize];
+        let first = self.first_slot(host);
+        let resident = &mut self.resident[host as usize];
+        let list = &mut self.on_host[first..first + *resident as usize];
         let i = list
             .iter()
             .position(|v| *v == vm)
             // lint:allow(unwrap-panic): resident/on_host are updated together; a miss is store corruption
             .expect("resident VM must be on its host's list");
-        list.swap_remove(i);
+        list[i] = list[list.len() - 1];
+        *resident -= 1;
     }
 
     /// Removes a departing VM, releasing every slot it holds.
@@ -380,8 +407,7 @@ impl PlacementStore {
         };
         self.release(from);
         self.drop_resident(from, vm);
-        self.resident[to as usize] += 1;
-        self.on_host[to as usize].push(vm);
+        self.add_resident(to, vm);
         self.vms[vm as usize].state = VmState::Placed { host: to };
     }
 }
