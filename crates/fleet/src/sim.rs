@@ -595,6 +595,8 @@ impl FleetSimulation {
     ///
     /// Returns the config's validation error, if any.
     pub fn new(cfg: FleetConfig) -> Result<Self, String> {
+        // Before the generator, which panics on a shape `validate` refuses.
+        cfg.validate()?;
         let rng = SimRng::from_seed(cfg.seed);
         let workload = SyntheticWorkload::new(cfg.workload, cfg.horizon, rng.fork(1));
         Self::with_workload(cfg, Box::new(workload))

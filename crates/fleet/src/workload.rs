@@ -49,7 +49,7 @@ pub struct SyntheticWorkload {
     /// The diurnal peak rate λ_peak, the thinning envelope.
     peak: f64,
     /// A lower bound on every candidate's acceptance probability
-    /// λ(t)/λ_peak, or 0 where none holds.
+    /// λ(t)/λ_peak: the curve's floor `(1 − a)/(1 + a)`.
     floor: f64,
     /// Candidate-process clock, seconds.
     t: f64,
@@ -57,20 +57,23 @@ pub struct SyntheticWorkload {
 
 impl SyntheticWorkload {
     /// A workload over `[0, horizon]` drawing from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`WorkloadConfig::validate`]'s message, which names the
+    /// field, if `cfg` is a shape the generator cannot draw from.
     pub fn new(cfg: WorkloadConfig, horizon: SimDuration, rng: SimRng) -> Self {
+        if let Err(e) = cfg.validate() {
+            // lint:allow(unwrap-panic): documented contract (`# Panics`); the fleet and the cell validate first and return the message
+            panic!("{e}");
+        }
         let a = cfg.diurnal_amplitude;
         let peak = cfg.arrival_rate * (1.0 + a);
         // `acceptance` with the sine at −1 (`a × −1` is exactly `−a`), by
         // the same float operations: for `a` in [0, 1) each step (× a ≥ 0,
         // 1 + ·, × rate > 0, ÷ peak > 0) rounds monotonically, so no
-        // candidate's probability falls below it. Outside that range, or
-        // with a zero period (a NaN phase), `acceptance` must run at every
-        // candidate to panic where it always has.
-        let floor = if (0.0..1.0).contains(&a) && !cfg.diurnal_period.is_zero() {
-            cfg.arrival_rate * (1.0 - a) / peak
-        } else {
-            0.0
-        };
+        // candidate's probability falls below it.
+        let floor = cfg.arrival_rate * (1.0 - a) / peak;
         SyntheticWorkload {
             cfg,
             horizon,
@@ -85,9 +88,8 @@ impl SyntheticWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if it falls outside `[0, 1]`, as it can for an amplitude
-    /// outside `[0, 1)` or a zero period (both of which
-    /// [`WorkloadConfig::validate`] rejects).
+    /// Panics if it falls outside `[0, 1]`, which no shape that
+    /// [`new`](Self::new) accepts allows.
     fn acceptance(&self, t: f64) -> f64 {
         let phase = t / self.cfg.diurnal_period.as_secs_f64() * std::f64::consts::TAU;
         let rate = self.cfg.arrival_rate * (1.0 + self.cfg.diurnal_amplitude * phase.sin());
@@ -99,9 +101,6 @@ impl SyntheticWorkload {
 
 impl WorkloadReader for SyntheticWorkload {
     fn next_arrival(&mut self) -> Option<VmArrival> {
-        if self.peak <= 0.0 {
-            return None;
-        }
         let horizon = self.horizon.as_secs_f64();
         loop {
             self.t += self.rng.exponential(1.0 / self.peak);

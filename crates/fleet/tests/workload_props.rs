@@ -2,9 +2,10 @@
 //! the diurnal sine at every thinning candidate and drew its uniform
 //! through `SimRng::chance`. The current generator draws the uniform
 //! first and skips the sine below the curve's floor; the two must agree
-//! record for record, and panic at the same candidate with the same
-//! message where the shape is invalid.
+//! record for record. A shape `WorkloadConfig::validate` rejects never
+//! reaches a draw: `SyntheticWorkload::new` panics with its message.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rh_fleet::config::WorkloadConfig;
@@ -62,6 +63,15 @@ impl WorkloadReader for Reference {
 /// ended it, if one did.
 type Drained = (Vec<VmArrival>, Option<String>);
 
+/// A caught panic's message.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
 fn drain(reader: &mut dyn WorkloadReader) -> Drained {
     let mut records = Vec::new();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -69,12 +79,7 @@ fn drain(reader: &mut dyn WorkloadReader) -> Drained {
             records.push(a);
         }
     }));
-    let panic = outcome.err().map(|e| {
-        e.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
-    });
+    let panic = outcome.err().map(panic_message);
     (records, panic)
 }
 
@@ -144,12 +149,12 @@ fn synthetic_workload_matches_the_reference_record_for_record() {
     );
 }
 
-/// Shapes that `WorkloadConfig::validate` rejects but
-/// `SyntheticWorkload::new` takes as given: both generators emit the same
-/// records and then panic with the same message at the same candidate
-/// (amplitude 1 never panics).
+/// Shapes that `WorkloadConfig::validate` rejects, each field at least
+/// once: `SyntheticWorkload::new` panics with `validate`'s message, which
+/// names the field, before a single draw. Amplitude 1, whose curve
+/// touches zero but never leaves `[0, 1]`, is refused too.
 #[test]
-fn invalid_shapes_panic_where_the_reference_does() {
+fn invalid_shapes_panic_at_construction() {
     let base = WorkloadConfig {
         arrival_rate: 2.0,
         mean_lifetime: SimDuration::from_secs(300),
@@ -157,30 +162,49 @@ fn invalid_shapes_panic_where_the_reference_does() {
         diurnal_period: SimDuration::from_secs(1000),
         pair_fraction: 0.25,
     };
-    let horizon = SimDuration::from_secs(5000);
+    let amplitude = |a| WorkloadConfig {
+        diurnal_amplitude: a,
+        ..base
+    };
+    let zero_period = |a| WorkloadConfig {
+        diurnal_period: SimDuration::ZERO,
+        ..amplitude(a)
+    };
     let shapes = [
-        (1.5, base.diurnal_period, true),
-        (-0.5, base.diurnal_period, true),
-        (1.0, base.diurnal_period, false),
-        (0.3, SimDuration::ZERO, true),
-        (0.0, SimDuration::ZERO, true),
+        ("diurnal_amplitude", amplitude(1.5)),
+        ("diurnal_amplitude", amplitude(-0.5)),
+        ("diurnal_amplitude", amplitude(1.0)),
+        ("diurnal_period", zero_period(0.3)),
+        ("diurnal_period", zero_period(0.0)),
+        (
+            "arrival_rate",
+            WorkloadConfig {
+                arrival_rate: 0.0,
+                ..base
+            },
+        ),
+        (
+            "mean_lifetime",
+            WorkloadConfig {
+                mean_lifetime: SimDuration::ZERO,
+                ..base
+            },
+        ),
+        (
+            "pair_fraction",
+            WorkloadConfig {
+                pair_fraction: 1.5,
+                ..base
+            },
+        ),
     ];
-    for (amplitude, period, panics) in shapes {
-        let cfg = WorkloadConfig {
-            diurnal_amplitude: amplitude,
-            diurnal_period: period,
-            ..base
-        };
-        assert!(cfg.validate().is_err(), "{cfg:?}");
-        for seed in [1, 7, 2007] {
-            let (reference, current) = both(cfg, horizon, seed);
-            assert_eq!(current, reference, "{cfg:?}, seed {seed}");
-            let message = current.1.unwrap_or_default();
-            assert_eq!(
-                message.starts_with("probability out of range"),
-                panics,
-                "{cfg:?}, seed {seed}: {message:?}"
-            );
-        }
+    for (field, cfg) in shapes {
+        let refused = cfg.validate().expect_err("an invalid shape");
+        let built = catch_unwind(|| {
+            SyntheticWorkload::new(cfg, SimDuration::from_secs(5000), SimRng::from_seed(2007))
+        });
+        let message = built.err().map(panic_message);
+        assert_eq!(message.as_deref(), Some(&*refused), "{cfg:?}");
+        assert!(refused.contains(field), "{cfg:?}: {refused:?}");
     }
 }
