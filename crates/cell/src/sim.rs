@@ -14,10 +14,10 @@
 //! large, and a parked image leaves the pool only by being revived.
 //!
 //! The running VMs sit in one `Vec` sorted by id, so a start is a binary
-//! search and (almost always) an append, a departure a binary search and
-//! a shift of the VMs younger than it, and balloon reclaim walks the
-//! running VMs oldest first. A released image's machine ranges go through
-//! one buffer the cell keeps for the run.
+//! search and an append (VMs start in id order), a departure a binary
+//! search and a shift of the VMs younger than it, and balloon reclaim
+//! walks the running VMs oldest first. A released image's machine ranges
+//! go through one buffer the cell keeps for the run.
 //!
 //! Cold-start latency is the simulated span from arrival to VM start:
 //! queue wait (if the arrival had to wait for frames) plus the closed-form
@@ -128,9 +128,11 @@ pub struct CellSimulation {
     cfg: CellConfig,
     ram: MachineMemory,
     /// Running VMs as `(id, vm)`, sorted by id; iteration order is
-    /// reclaim order. Ids are handed out in arrival order, so a start
-    /// almost always appends, but a VM that waited for frames can start
-    /// after a younger one.
+    /// reclaim order. VMs start in id order: the queue is FIFO, and an
+    /// arrival behind a queued VM finds no room that VM did not (each
+    /// departure retries the queue first, and a failed reclaim has
+    /// already squeezed every running VM to its floor). A start still
+    /// inserts by binary search, so the order does not rest on that.
     active: Vec<(u64, Vm)>,
     /// Warm pool, oldest first; images frozen in place.
     parked: VecDeque<Vm>,
